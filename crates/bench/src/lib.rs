@@ -3,20 +3,21 @@
 #![warn(rustdoc::broken_intra_doc_links)]
 
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation section. The same functions drive both the full experiment
-//! binaries (`exp_table1` … `exp_fig8`, `run_all`) and the Criterion
-//! benches (at [`ExperimentScale::smoke`] size), so every reported row is
-//! covered by `cargo bench` as well.
+//! evaluation section. One grid, [`specs`], defines every run and its
+//! configuration; [`run_suite`] (behind the `exp_suite` binary) runs it
+//! serially and assembles the artefacts, and the fleet runner
+//! (`capfleet`) runs the same cells as independent work items.
 //!
-//! | Regenerator | Paper content |
+//! | Entry point | Paper content |
 //! |---|---|
-//! | [`run_table1`] | Table I — accuracy / pruning ratio / FLOPs reduction for the four model-dataset pairs |
-//! | [`run_table2`] | Table II — strategy ablation on ResNet56-C10 |
-//! | [`run_table3`] | Table III — regulariser ablation |
-//! | [`run_fig4`] | Fig. 4 — single-layer score distributions before/after pruning |
-//! | [`run_fig6`] | Fig. 6 — comparison against L1 / SSS / HRank / TPP / OrthConv / DepGraph (+ Taylor) |
-//! | [`run_fig7`] | Fig. 7 — per-layer mean scores before/after pruning |
-//! | [`run_fig8`] | Fig. 8 — score distributions under regulariser variants |
+//! | [`SuiteReport::table1`] | Table I — accuracy / pruning ratio / FLOPs reduction for the four model-dataset pairs |
+//! | [`SuiteReport::table2`] | Table II — strategy ablation on ResNet56-C10 |
+//! | [`SuiteReport::table3`] | Table III — regulariser ablation |
+//! | [`SuiteReport::fig4`] | Fig. 4 — single-layer score distributions before/after pruning |
+//! | [`SuiteReport::fig6`] | Fig. 6 — comparison against L1 / SSS / HRank / TPP / OrthConv / DepGraph (+ Taylor) |
+//! | [`SuiteReport::fig7`] | Fig. 7 — per-layer mean scores before/after pruning |
+//! | [`SuiteReport::fig8`] | Fig. 8 — score distributions under regulariser variants |
+//! | [`specs::run_spec`] | any single grid cell (`capfleet init --specs FILE`) |
 
 mod experiments;
 mod render;
@@ -26,8 +27,8 @@ pub mod specs;
 mod trace;
 
 pub use experiments::{
-    run_fig4, run_fig6, run_fig7, run_fig8, run_table1, run_table2, run_table3, Fig4Result,
-    Fig6Row, Fig7Result, Fig8Row, Table1Row, Table2Row, Table3Row,
+    run_suite, Fig4Result, Fig6Row, Fig7Result, Fig8Row, SuiteReport, Table1Row, Table2Row,
+    Table3Row,
 };
 pub use render::{
     render_fig4, render_fig6, render_fig7, render_fig8, render_table1, render_table2, render_table3,

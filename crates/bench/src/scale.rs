@@ -109,6 +109,19 @@ impl ExperimentScale {
     }
 }
 
+impl ExperimentScale {
+    /// Parses a scale name as the CLIs spell it: `smoke`, `small` or
+    /// `full`. Any other name is `None`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "smoke" => Some(ExperimentScale::smoke()),
+            "small" => Some(ExperimentScale::small()),
+            "full" => Some(ExperimentScale::full()),
+            _ => None,
+        }
+    }
+}
+
 impl Default for ExperimentScale {
     fn default() -> Self {
         ExperimentScale::small()
@@ -128,5 +141,19 @@ mod tests {
         assert!(small.train_per_class < full.train_per_class);
         assert!(smoke.pretrain_epochs <= small.pretrain_epochs);
         assert!(small.pretrain_epochs <= full.pretrain_epochs);
+    }
+
+    #[test]
+    fn from_name_round_trips_the_three_names_only() {
+        for (name, scale) in [
+            ("smoke", ExperimentScale::smoke()),
+            ("small", ExperimentScale::small()),
+            ("full", ExperimentScale::full()),
+        ] {
+            assert_eq!(ExperimentScale::from_name(name), Some(scale), "{name}");
+        }
+        for bad in ["", "Smoke", "--smoke", "tiny", "full "] {
+            assert_eq!(ExperimentScale::from_name(bad), None, "{bad:?}");
+        }
     }
 }

@@ -1,18 +1,22 @@
-//! Fleet-ready enumeration of the `exp_suite` grid.
+//! The experiment grid: every run behind the paper's tables and figures.
 //!
-//! `exp_suite` runs the paper's whole evaluation serially in one
-//! process; the fleet runner (`capfleet`) instead wants the same grid
-//! as independent, individually-runnable work items. [`suite_specs`]
-//! flattens the suite into deduplicated [`SuiteSpec`]s with stable ids
-//! (the rows `exp_suite` reuses across tables appear once), and
-//! [`run_spec`] executes a single spec end-to-end — through the
-//! crash-safe `RunDir` + `resume` path for the class-aware pipeline,
-//! so a fleet worker rescheduled mid-run replays bit-identically.
+//! [`suite_specs`] flattens the evaluation into deduplicated
+//! [`SuiteSpec`]s with stable ids (a run several tables reuse appears
+//! once), [`artefact_rows`] says which spec fills each artefact row, and
+//! [`run_spec`] executes a single spec end-to-end. The serial suite
+//! ([`crate::run_suite`], behind `exp_suite`) and the fleet runner
+//! (`capfleet`) both run specs through [`run_spec`]; the fleet passes a
+//! run directory so the class-aware pipeline goes through the crash-safe
+//! `RunDir` + `resume` path, and a worker rescheduled mid-run replays
+//! bit-identically. The run configurations ([`score_config`],
+//! [`fig6_schedule`], and `train_config` for fine-tuning) are defined
+//! here once.
 
+use crate::setup::train_config;
 use crate::{build_dataset, pretrain_cached, Arch, DataKind, ExperimentScale};
 use cap_baselines::{run_baseline, standard_criteria, BaselineConfig};
-use cap_core::{ClassAwarePruner, PruneConfig, PruneStrategy, ScoreConfig};
-use cap_nn::{RegularizerConfig, RunDir, TrainConfig};
+use cap_core::{ClassAwarePruner, PruneConfig, PruneOutcome, PruneStrategy, ScoreConfig};
+use cap_nn::{RegularizerConfig, RunDir};
 use std::path::Path;
 
 /// One runnable cell of the experiment grid.
@@ -36,7 +40,7 @@ pub struct SuiteSpec {
 }
 
 /// What one spec produced, whichever path executed it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SpecOutcome {
     /// Accuracy of the pre-trained (unpruned) model.
     pub baseline_accuracy: f64,
@@ -46,6 +50,32 @@ pub struct SpecOutcome {
     pub pruning_ratio: f64,
     /// Fraction of FLOPs removed.
     pub flops_reduction: f64,
+    /// The class-aware run's full outcome (score snapshots before and
+    /// after pruning for Figs. 4 and 7, the iteration trajectory, the
+    /// stop reason); `None` for baseline criteria.
+    pub prune: Option<PruneOutcome>,
+}
+
+/// A paper artefact assembled from [`SuiteSpec`] outcomes. Fig. 8 is not
+/// one: it scores the cached pre-trained models and runs no spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artefact {
+    /// Table I: the four paper pipelines.
+    Table1,
+    /// Fig. 4: the score histogram of one prunable site (the index is
+    /// clamped to the pruned network's site count).
+    Fig4 {
+        /// Index of the displayed site.
+        site: usize,
+    },
+    /// Fig. 7: layer-wise mean scores.
+    Fig7,
+    /// Table II: the strategy ablation on ResNet56-C10.
+    Table2,
+    /// Table III: the regulariser ablation.
+    Table3,
+    /// Fig. 6: the class-aware method against the baseline criteria.
+    Fig6,
 }
 
 fn slug(s: &str) -> String {
@@ -60,22 +90,62 @@ fn slug(s: &str) -> String {
         .collect()
 }
 
-/// The `exp_suite` grid as independent specs, deduplicated the same
-/// way the suite reuses runs: the four paper pipelines appear once
-/// (Table I, reused by Tables II/III and Figs. 4/6/7), plus the
-/// Table II strategy ablation, the Table III regulariser ablation, and
-/// the Fig. 6 baseline criteria.
+fn t1_id(arch: Arch, data: DataKind) -> String {
+    format!("t1-{}-{}", slug(arch.name()), slug(data.name()))
+}
+
+fn t2_id(strategy: PruneStrategy) -> String {
+    format!("t2-resnet56-cifar10-{}", slug(strategy.label()))
+}
+
+fn t3_id(arch: Arch, reg: RegularizerConfig) -> String {
+    format!("t3-{}-cifar10-{}", slug(arch.name()), slug(reg.label()))
+}
+
+fn fig6_id(criterion: &str) -> String {
+    format!("fig6-{}", slug(criterion))
+}
+
+/// The four model/dataset pairs of Table I, in row order.
+const PAPER_PAIRS: [(Arch, DataKind); 4] = [
+    (Arch::Vgg16, DataKind::C10),
+    (Arch::Vgg19, DataKind::C100),
+    (Arch::ResNet56, DataKind::C10),
+    (Arch::ResNet56, DataKind::C100),
+];
+
+/// Table II's extra strategies; its combined row is the Table I run.
+fn ablated_strategies() -> [PruneStrategy; 2] {
+    [
+        PruneStrategy::Percentage { fraction: 0.10 },
+        PruneStrategy::Threshold {
+            threshold: cap_core::threshold_for_classes(10),
+        },
+    ]
+}
+
+/// The regulariser variants of Table III and Fig. 8, in row order. The
+/// last is the paper's L1+Lorth: Table III's rows for it are the Table I
+/// runs.
+pub(crate) fn regularizer_variants() -> [RegularizerConfig; 4] {
+    [
+        RegularizerConfig::none(),
+        RegularizerConfig::l1_only(),
+        RegularizerConfig::orth_only(),
+        RegularizerConfig::paper(),
+    ]
+}
+
+/// The whole grid as independent specs, deduplicated: the four paper
+/// pipelines appear once (Table I, reused by Tables II/III and
+/// Figs. 4/6/7), plus the Table II strategy ablation, the Table III
+/// regulariser ablation, and the Fig. 6 baseline criteria.
 pub fn suite_specs() -> Vec<SuiteSpec> {
     let mut specs = Vec::new();
     // Table I: the four paper-regularised pipelines.
-    for (arch, data) in [
-        (Arch::Vgg16, DataKind::C10),
-        (Arch::Vgg19, DataKind::C100),
-        (Arch::ResNet56, DataKind::C10),
-        (Arch::ResNet56, DataKind::C100),
-    ] {
+    for (arch, data) in PAPER_PAIRS {
         specs.push(SuiteSpec {
-            id: format!("t1-{}-{}", slug(arch.name()), slug(data.name())),
+            id: t1_id(arch, data),
             arch,
             data,
             strategy: PruneStrategy::paper_combined(data.classes()),
@@ -84,14 +154,9 @@ pub fn suite_specs() -> Vec<SuiteSpec> {
         });
     }
     // Table II: extra strategies on ResNet56-C10 (combined row = t1).
-    for strategy in [
-        PruneStrategy::Percentage { fraction: 0.10 },
-        PruneStrategy::Threshold {
-            threshold: cap_core::threshold_for_classes(10),
-        },
-    ] {
+    for strategy in ablated_strategies() {
         specs.push(SuiteSpec {
-            id: format!("t2-resnet56-cifar10-{}", slug(strategy.label())),
+            id: t2_id(strategy),
             arch: Arch::ResNet56,
             data: DataKind::C10,
             strategy,
@@ -101,13 +166,12 @@ pub fn suite_specs() -> Vec<SuiteSpec> {
     }
     // Table III: regulariser ablation (paper rows = t1).
     for arch in [Arch::Vgg16, Arch::ResNet56] {
-        for reg in [
-            RegularizerConfig::none(),
-            RegularizerConfig::l1_only(),
-            RegularizerConfig::orth_only(),
-        ] {
+        for reg in regularizer_variants() {
+            if reg == RegularizerConfig::paper() {
+                continue;
+            }
             specs.push(SuiteSpec {
-                id: format!("t3-{}-cifar10-{}", slug(arch.name()), slug(reg.label())),
+                id: t3_id(arch, reg),
                 arch,
                 data: DataKind::C10,
                 strategy: PruneStrategy::paper_combined(10),
@@ -119,7 +183,7 @@ pub fn suite_specs() -> Vec<SuiteSpec> {
     // Fig. 6: baseline criteria on the VGG16-C10 pre-trained model.
     for criterion in standard_criteria() {
         specs.push(SuiteSpec {
-            id: format!("fig6-{}", slug(criterion.name())),
+            id: fig6_id(criterion.name()),
             arch: Arch::Vgg16,
             data: DataKind::C10,
             strategy: PruneStrategy::paper_combined(10),
@@ -130,22 +194,65 @@ pub fn suite_specs() -> Vec<SuiteSpec> {
     specs
 }
 
+/// Which spec fills each artefact row, in print order within each
+/// artefact. Every [`suite_specs`] id appears at least once.
+pub fn artefact_rows() -> Vec<(Artefact, String)> {
+    let mut rows = Vec::new();
+    for (arch, data) in PAPER_PAIRS {
+        rows.push((Artefact::Table1, t1_id(arch, data)));
+    }
+    // VGG16-C10 conv1, VGG19-C100 conv3, a mid-network ResNet56-C10 layer.
+    for (site, (arch, data)) in [0, 2, 19].into_iter().zip(PAPER_PAIRS) {
+        rows.push((Artefact::Fig4 { site }, t1_id(arch, data)));
+    }
+    for (arch, data) in PAPER_PAIRS {
+        rows.push((Artefact::Fig7, t1_id(arch, data)));
+    }
+    for strategy in ablated_strategies() {
+        rows.push((Artefact::Table2, t2_id(strategy)));
+    }
+    rows.push((Artefact::Table2, t1_id(Arch::ResNet56, DataKind::C10)));
+    for arch in [Arch::Vgg16, Arch::ResNet56] {
+        for reg in regularizer_variants() {
+            let id = if reg == RegularizerConfig::paper() {
+                t1_id(arch, DataKind::C10)
+            } else {
+                t3_id(arch, reg)
+            };
+            rows.push((Artefact::Table3, id));
+        }
+    }
+    rows.push((Artefact::Fig6, t1_id(Arch::Vgg16, DataKind::C10)));
+    for criterion in standard_criteria() {
+        rows.push((Artefact::Fig6, fig6_id(criterion.name())));
+    }
+    rows
+}
+
 /// Looks a spec up by id.
 pub fn find_spec(id: &str) -> Option<SuiteSpec> {
     suite_specs().into_iter().find(|s| s.id == id)
 }
 
-fn finetune_cfg(scale: &ExperimentScale, reg: RegularizerConfig) -> TrainConfig {
-    TrainConfig {
-        epochs: scale.finetune_epochs,
-        batch_size: scale.batch_size,
-        lr: 0.01,
-        momentum: 0.9,
-        weight_decay: 5e-4,
-        lr_decay: 0.97,
-        regularizer: reg,
-        shuffle_seed: scale.seed,
-        fault_policy: cap_nn::FaultPolicy::Abort,
+/// The importance-scoring configuration of every experiment at `scale`.
+pub fn score_config(scale: &ExperimentScale) -> ScoreConfig {
+    ScoreConfig {
+        images_per_class: scale.images_per_class,
+        tau: scale.tau,
+        ..ScoreConfig::default()
+    }
+}
+
+/// The matched schedule every Fig. 6 baseline criterion runs under:
+/// 10% of the filters per iteration for at most six iterations, each
+/// followed by unregularised fine-tuning.
+pub fn fig6_schedule(scale: &ExperimentScale) -> BaselineConfig {
+    BaselineConfig {
+        fraction_per_iter: 0.10,
+        iterations: scale.max_iterations.min(6),
+        finetune: train_config(scale.finetune_epochs, scale, RegularizerConfig::none()),
+        eval_batch: scale.batch_size,
+        seed: scale.seed,
     }
 }
 
@@ -179,19 +286,12 @@ pub fn run_spec(
             .into_iter()
             .find(|c| c.name() == name.as_str())
             .ok_or_else(|| format!("unknown baseline criterion {name:?}"))?;
-        let schedule = BaselineConfig {
-            fraction_per_iter: 0.10,
-            iterations: scale.max_iterations.min(6),
-            finetune: finetune_cfg(scale, RegularizerConfig::none()),
-            eval_batch: scale.batch_size,
-            seed: scale.seed,
-        };
         let outcome = run_baseline(
             criterion.as_mut(),
             &mut prepared.net,
             data.train(),
             data.test(),
-            &schedule,
+            &fig6_schedule(scale),
         )
         .map_err(|e| format!("baseline {name}: {e}"))?;
         return Ok(SpecOutcome {
@@ -199,16 +299,13 @@ pub fn run_spec(
             final_accuracy: outcome.final_accuracy,
             pruning_ratio: outcome.pruning_ratio(),
             flops_reduction: outcome.flops_reduction(),
+            prune: None,
         });
     }
     let pruner = ClassAwarePruner::new(PruneConfig {
-        score: ScoreConfig {
-            images_per_class: scale.images_per_class,
-            tau: scale.tau,
-            ..ScoreConfig::default()
-        },
+        score: score_config(scale),
         strategy: spec.strategy,
-        finetune: finetune_cfg(scale, spec.regularizer),
+        finetune: train_config(scale.finetune_epochs, scale, spec.regularizer),
         max_iterations: scale.max_iterations,
         accuracy_drop_limit: scale.accuracy_drop_limit,
         eval_batch: scale.batch_size,
@@ -237,6 +334,7 @@ pub fn run_spec(
         final_accuracy: outcome.final_accuracy,
         pruning_ratio: outcome.pruning_ratio(),
         flops_reduction: outcome.flops_reduction(),
+        prune: Some(outcome),
     })
 }
 
