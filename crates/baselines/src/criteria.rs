@@ -102,9 +102,10 @@ fn mixed_batch(data: &Dataset, n: usize, seed: u64) -> Result<(Tensor, Vec<usize
     Ok((images, labels))
 }
 
-/// Runs one forward(+backward) pass with activation recording enabled,
-/// leaving recorded outputs (and gradients, when `backward` is true) on
-/// every convolution.
+/// Runs one forward(+backward) pass in scoring mode (see
+/// [`Network::set_record_activations`]), leaving recorded outputs (and
+/// gradients, when `backward` is true) on every convolution. No
+/// parameter gradient is computed.
 fn recording_pass(
     net: &mut Network,
     images: &Tensor,
@@ -112,16 +113,22 @@ fn recording_pass(
     backward: bool,
 ) -> Result<(), PruneError> {
     net.set_record_activations(true);
-
-    (|| -> Result<(), PruneError> {
-        let logits = net.forward(images, false)?;
-        if backward {
-            let loss = CrossEntropyLoss::new(Reduction::Sum).forward(&logits, labels)?;
-            net.zero_grad();
-            net.backward(&loss.grad)?;
-        }
+    if backward {
+        gradient_pass(net, images, labels)
+    } else {
+        net.forward(images, false)?;
         Ok(())
-    })()
+    }
+}
+
+/// One eval-mode forward and one backward of the summed cross-entropy,
+/// starting from zeroed gradients.
+fn gradient_pass(net: &mut Network, images: &Tensor, labels: &[usize]) -> Result<(), PruneError> {
+    let logits = net.forward(images, false)?;
+    let loss = CrossEntropyLoss::new(Reduction::Sum).forward(&logits, labels)?;
+    net.zero_grad();
+    net.backward(&loss.grad)?;
+    Ok(())
 }
 
 /// L1-norm pruning (Li et al., "Pruning Filters for Efficient ConvNets",
@@ -288,7 +295,6 @@ impl FilterCriterion for HRankCriterion {
             })
         });
         net.set_record_activations(false);
-        net.zero_grad();
         result
     }
 }
@@ -324,7 +330,8 @@ impl FilterCriterion for TppCriterion {
         seed: u64,
     ) -> Result<NetworkScores, PruneError> {
         let (images, labels) = mixed_batch(data, self.batch, seed)?;
-        let pass = recording_pass(net, &images, &labels, true);
+        // Reads weight gradients, so it runs a plain pass, not scoring mode.
+        let pass = gradient_pass(net, &images, &labels);
         let result = pass.and_then(|()| {
             let mut out = empty_scores(net, sites)?;
             for (site, acc) in sites.iter().zip(out.iter_mut()) {
@@ -350,7 +357,6 @@ impl FilterCriterion for TppCriterion {
                 classes: data.classes(),
             })
         });
-        net.set_record_activations(false);
         net.zero_grad();
         result
     }
@@ -608,7 +614,6 @@ impl FilterCriterion for TaylorCriterion {
             })
         });
         net.set_record_activations(false);
-        net.zero_grad();
         result
     }
 }
@@ -682,6 +687,73 @@ mod tests {
         for c in crate::standard_criteria().iter_mut() {
             let mut n = resnet();
             check_scores(c.as_mut(), &mut n);
+        }
+    }
+
+    #[test]
+    fn taylor_and_tpp_match_a_full_backward_bit_for_bit() {
+        let d = data();
+        let mut n = net();
+        let sites = find_prunable_sites(&n);
+        let (images, labels) = mixed_batch(d.train(), 8, 3).unwrap();
+        // Full backward over clones of the layers, never in scoring
+        // mode: every layer also computes its parameter gradients.
+        let mut layers: Vec<Layer> = n.layers().to_vec();
+        let mut taps: Vec<Option<(Tensor, Tensor)>> = vec![None; layers.len()];
+        let mut h = images.clone();
+        for (layer, tap) in layers.iter_mut().zip(taps.iter_mut()) {
+            h = layer.forward(&h, false).unwrap();
+            if layer.as_conv().is_some() {
+                *tap = Some((h.clone(), Tensor::zeros(&[0])));
+            }
+        }
+        let mut g = CrossEntropyLoss::new(Reduction::Sum)
+            .forward(&h, &labels)
+            .unwrap()
+            .grad;
+        for (layer, tap) in layers.iter_mut().zip(taps.iter_mut()).rev() {
+            if let Some((_, tg)) = tap {
+                *tg = g.clone();
+            }
+            g = layer.backward(&g).unwrap();
+        }
+
+        let taylor = TaylorCriterion::new(8)
+            .score(&mut n, &sites, d.train(), 3)
+            .unwrap();
+        let tpp = TppCriterion::new(8)
+            .score(&mut n, &sites, d.train(), 3)
+            .unwrap();
+        for (si, site) in sites.iter().enumerate() {
+            let SiteKind::Sequential { conv_idx } = site.kind else {
+                panic!("sequential net has only sequential sites");
+            };
+            let (a, ga) = taps[conv_idx].as_ref().unwrap();
+            let conv = layers[conv_idx].as_conv().unwrap();
+            let (m, filters) = (a.dim(0), a.dim(1));
+            let plane = a.dim(2) * a.dim(3);
+            let fsize = conv.in_channels() * conv.kernel() * conv.kernel();
+            for f in 0..filters {
+                let mut sum = 0.0f64;
+                for s in 0..m {
+                    for p in 0..plane {
+                        let i = (s * filters + f) * plane + p;
+                        sum += f64::from((a.data()[i] * ga.data()[i]).abs());
+                    }
+                }
+                let want = sum / (m * plane) as f64;
+                let got = taylor.sites[si].scores[f];
+                assert_eq!(got.to_bits(), want.to_bits(), "Taylor {si}/{f}");
+
+                let mut sq = 0.0f64;
+                for j in f * fsize..(f + 1) * fsize {
+                    let p = f64::from(conv.weight().data()[j])
+                        * f64::from(conv.grad_weight().data()[j]);
+                    sq += p * p;
+                }
+                let got = tpp.sites[si].scores[f];
+                assert_eq!(got.to_bits(), sq.sqrt().to_bits(), "TPP {si}/{f}");
+            }
         }
     }
 

@@ -31,8 +31,8 @@
 
 use cap_core::{evaluate_scores, find_prunable_sites, ClassAwarePruner, PruneConfig, ScoreConfig};
 use cap_data::{DatasetSpec, SyntheticDataset};
-use cap_models::{vgg16, ModelConfig};
-use cap_nn::layer::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
+use cap_models::{resnet56, vgg16, ModelConfig};
+use cap_nn::layer::Conv2d;
 use cap_nn::{Network, TrainConfig};
 use cap_obs::json::{write_f64, write_str};
 use cap_tensor::{matmul, SimdMode, Tensor};
@@ -209,23 +209,22 @@ fn matmul_naive_ref(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(vec![m, n], out).expect("sized to shape")
 }
 
+/// The class-aware scoring workload at the shape where scoring costs
+/// most: ResNet56 (width 0.25) over 100 classes, 3 images per class.
 fn scoring_setup(smoke: bool) -> (Network, SyntheticDataset, ScoreConfig) {
-    let mut r = rng();
-    let mut net = Network::new();
-    net.push(Conv2d::new(3, 16, 3, 1, 1, false, &mut r).expect("conv"));
-    net.push(BatchNorm2d::new(16).expect("bn"));
-    net.push(Relu::new());
-    net.push(Conv2d::new(16, 16, 3, 1, 1, false, &mut r).expect("conv"));
-    net.push(GlobalAvgPool::new());
-    net.push(Linear::new(16, 10, &mut r).expect("linear"));
+    let image = if smoke { 8 } else { 16 };
+    let cfg = ModelConfig::new(100)
+        .with_width(0.25)
+        .with_image_size(image);
+    let net = resnet56(&cfg, &mut rng()).expect("resnet56");
     let data = SyntheticDataset::generate(
-        &DatasetSpec::cifar10_like()
-            .with_image_size(8)
-            .with_counts(if smoke { 4 } else { 12 }, 2),
+        &DatasetSpec::cifar100_like()
+            .with_image_size(image)
+            .with_counts(3, 1),
     )
     .expect("synthetic data");
     let cfg = ScoreConfig {
-        images_per_class: if smoke { 2 } else { 6 },
+        images_per_class: if smoke { 2 } else { 10 },
         ..ScoreConfig::default()
     };
     (net, data, cfg)
@@ -363,7 +362,11 @@ fn run_benches(opts: &Options, thread_points: &[usize]) -> Vec<Record> {
         let sites = find_prunable_sites(&net);
         records.push(Record {
             op: "taylor_scoring",
-            shape: format!("2sites_10classes_m{}", score_cfg.images_per_class),
+            shape: format!(
+                "resnet56_w0.25_100classes_im{}_m{}",
+                if opts.smoke { 8 } else { 16 },
+                score_cfg.images_per_class
+            ),
             threads,
             ns_per_iter: measure(
                 || {

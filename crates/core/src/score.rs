@@ -11,8 +11,10 @@
 use crate::{PrunableSite, PruneError};
 use cap_data::Dataset;
 use cap_nn::{CrossEntropyLoss, Network, Reduction};
+use cap_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// How the Taylor-score binarisation threshold `τ` (Eq. 5) is chosen.
 ///
@@ -183,13 +185,29 @@ impl ClassAttribution {
     }
 }
 
+/// Most images one scoring pass carries. Whole classes are packed into
+/// chunks of at most this many images (a class larger than the cap gets
+/// a chunk of its own). Anywhere from 24 to 96 scores equally fast, but
+/// a pass holds every layer's activations for its images (~0.36 MiB per
+/// image on VGG16-C10 at width 0.25): 48 raised that pruning loop's
+/// peak RSS by ~5 MiB, 24 leaves it where per-class passes had it. It
+/// must also stay below the 256-row direct-GEMM limit so that a chunk
+/// and a lone class pick the same GEMM path, which keeps the scores
+/// bit-identical to one pass per class.
+const CHUNK_IMAGES: usize = 24;
+
 /// Evaluates class-aware importance scores for the given sites.
 ///
-/// The network is treated as frozen: forward passes run in eval mode and
-/// parameter gradients accumulated during the backward sweeps are cleared
-/// afterwards. One forward/backward pair per class scores every
-/// activation output of every site at once (the paper's single-backward
-/// Taylor approximation).
+/// The network is treated as frozen and runs in scoring mode (see
+/// [`Network::set_record_activations`]): eval-mode forward passes and
+/// input-gradient-only backward passes, so no parameter gradient is
+/// computed or touched. Every class batch is drawn first, in class
+/// order; whole classes are then packed into chunks, and one
+/// forward/backward pair per chunk scores every activation output of
+/// every site for all of its classes at once (the paper's
+/// single-backward Taylor approximation). With the summed loss in eval
+/// mode each image's `∂L/∂a` depends on that image alone, so the scores
+/// are bit-identical to one pass per class.
 ///
 /// # Errors
 ///
@@ -220,9 +238,9 @@ pub fn evaluate_scores_with_attribution(
     data: &Dataset,
     cfg: &ScoreConfig,
 ) -> Result<(NetworkScores, ClassAttribution), PruneError> {
-    // Profiler scope: class-aware Taylor scoring is the candidate
-    // dominant cost (see ROADMAP's coarse-to-fine direction), so it
-    // gets its own frame in sampled flamegraphs.
+    // Profiler scope: class-aware Taylor scoring is a large share of a
+    // pruning iteration, so it gets its own frame in sampled
+    // flamegraphs.
     let _span = cap_obs::span!("core.score");
     cfg.validate()?;
     let classes = data.classes();
@@ -246,15 +264,18 @@ pub fn evaluate_scores_with_attribution(
         })
         .collect();
 
+    // All draws up front, in class order: the rng sequence is the one a
+    // pass per class would consume.
+    let batches: Vec<Tensor> = (0..classes)
+        .map(|class| data.sample_class_batch(class, cfg.images_per_class, &mut rng))
+        .collect::<Result<_, _>>()?;
+
     net.set_record_activations(true);
     let result = (|| -> Result<(), PruneError> {
-        for class in 0..classes {
-            let batch = data.sample_class_batch(class, cfg.images_per_class, &mut rng)?;
-            let m = batch.dim(0);
-            let labels = vec![class; m];
-            let logits = net.forward(&batch, false)?;
+        for chunk in class_chunks(&batches) {
+            let (x, labels) = stack_classes(&batches, chunk.clone())?;
+            let logits = net.forward(&x, false)?;
             let out = loss_fn.forward(&logits, &labels)?;
-            net.zero_grad();
             net.backward(&out.grad)?;
             for ((site, acc), attr) in sites
                 .iter()
@@ -272,25 +293,36 @@ pub fn evaluate_scores_with_attribution(
                         .ok_or_else(|| PruneError::UnsupportedTopology {
                             reason: format!("site {} did not record gradients", site.label),
                         })?;
-                let contrib =
-                    site_class_contributions(acc.scores.len(), a.data(), g.data(), m, cfg.tau);
-                // The same addition, in the same order, as the old
-                // in-place accumulation — bit-identical totals.
-                for ((score, row), &c) in acc
-                    .scores
-                    .iter_mut()
-                    .zip(attr.per_class.iter_mut())
-                    .zip(contrib.iter())
-                {
-                    *score += c;
-                    row[class] = c;
+                let row = a.numel() / labels.len();
+                let mut first = 0;
+                for class in chunk.clone() {
+                    let m = batches[class].dim(0);
+                    let rows = first * row..(first + m) * row;
+                    first += m;
+                    let contrib = site_class_contributions(
+                        acc.scores.len(),
+                        &a.data()[rows.clone()],
+                        &g.data()[rows],
+                        m,
+                        cfg.tau,
+                    );
+                    // Totals fold serially in class order: the same
+                    // additions, in the same order, as one pass per class.
+                    for ((score, per_class), &c) in acc
+                        .scores
+                        .iter_mut()
+                        .zip(attr.per_class.iter_mut())
+                        .zip(contrib.iter())
+                    {
+                        *score += c;
+                        per_class[class] = c;
+                    }
                 }
             }
         }
         Ok(())
     })();
     net.set_record_activations(false);
-    net.zero_grad();
     result?;
 
     Ok((
@@ -303,6 +335,42 @@ pub fn evaluate_scores_with_attribution(
             classes,
         },
     ))
+}
+
+/// Splits the classes, in order, into runs whose batches together hold
+/// at most [`CHUNK_IMAGES`] images (at least one class per run).
+fn class_chunks(batches: &[Tensor]) -> Vec<Range<usize>> {
+    let mut chunks: Vec<Range<usize>> = Vec::new();
+    let mut images = 0;
+    for (class, batch) in batches.iter().enumerate() {
+        let m = batch.dim(0);
+        match chunks.last_mut() {
+            Some(run) if images + m <= CHUNK_IMAGES => run.end = class + 1,
+            _ => {
+                chunks.push(class..class + 1);
+                images = 0;
+            }
+        }
+        images += m;
+    }
+    chunks
+}
+
+/// Stacks the batches of `classes` into one NCHW tensor with its labels.
+fn stack_classes(
+    batches: &[Tensor],
+    classes: Range<usize>,
+) -> Result<(Tensor, Vec<usize>), PruneError> {
+    let mut shape = batches[classes.start].shape().to_vec();
+    let mut data = Vec::new();
+    let mut labels = Vec::new();
+    for class in classes {
+        let batch = &batches[class];
+        data.extend_from_slice(batch.data());
+        labels.extend(std::iter::repeat_n(class, batch.dim(0)));
+    }
+    shape[0] = labels.len();
+    Ok((Tensor::from_vec(shape, data)?, labels))
 }
 
 /// Computes `s_{f,n}` (Eq. 5–7) for one class and every filter of a
@@ -332,8 +400,7 @@ fn site_class_contributions(
     let plane = activations.len() / (m * filters);
     // Filters are independent: each task owns a contiguous run of score
     // slots and runs the unchanged per-filter loop, so the result is
-    // bit-identical for any thread count. (The class loop above stays
-    // serial to preserve the rng sampling sequence exactly.)
+    // bit-identical for any thread count.
     let chunk = filters.div_ceil(cap_par::effective_parallelism());
     cap_par::parallel_chunks_mut(&mut contrib, chunk, |ci, slots| {
         for (j, slot) in slots.iter_mut().enumerate() {

@@ -74,6 +74,8 @@ pub struct BatchNorm2d {
     cached_inv_std: Vec<f64>,
     cached_shape: Vec<usize>,
     cached_training: bool,
+    // Scoring mode: backward computes the input gradient only.
+    input_grad_only: bool,
 }
 
 impl BatchNorm2d {
@@ -102,6 +104,7 @@ impl BatchNorm2d {
             cached_inv_std: Vec::new(),
             cached_shape: Vec::new(),
             cached_training: false,
+            input_grad_only: false,
         })
     }
 
@@ -177,6 +180,12 @@ impl BatchNorm2d {
     pub fn zero_grad(&mut self) {
         self.grad_gamma.fill(0.0);
         self.grad_beta.fill(0.0);
+    }
+
+    /// Scoring mode (set with the network's activation recording):
+    /// backward leaves `dγ`/`dβ` untouched and computes `∂L/∂x` only.
+    pub(crate) fn set_input_grad_only(&mut self, on: bool) {
+        self.input_grad_only = on;
     }
 
     /// Forward pass.
@@ -275,7 +284,9 @@ impl BatchNorm2d {
     /// differentiated; after an eval-mode forward the layer is the fixed
     /// affine map `γ·(x − μ̂)/σ̂ + β`, so the input gradient is simply
     /// `γ·σ̂⁻¹·g` — the case used when scoring a frozen, pre-trained
-    /// network (paper Eq. 3–4).
+    /// network (paper Eq. 3–4). In scoring mode `dγ`/`dβ` are skipped,
+    /// and after an eval-mode forward so is the per-channel reduction
+    /// they (and only they) need.
     ///
     /// # Errors
     ///
@@ -304,15 +315,21 @@ impl BatchNorm2d {
         let mut grad_in = Tensor::zeros(grad_out.shape());
         // Per-channel (Σg, Σg·x̂): per-sample partials in parallel,
         // fixed-order tree reduction across samples.
-        let sums: Vec<[f64; 2]> = channel_partials(n, c, plane, |i| {
-            let g = f64::from(grad_out.data()[i]);
-            [g, g * f64::from(xhat.data()[i])]
-        });
+        let sums: Vec<[f64; 2]> = if training || !self.input_grad_only {
+            channel_partials(n, c, plane, |i| {
+                let g = f64::from(grad_out.data()[i]);
+                [g, g * f64::from(xhat.data()[i])]
+            })
+        } else {
+            vec![[0.0; 2]; c]
+        };
         let mut ks = vec![0.0f64; c];
         for ch in 0..c {
-            let [sum_g, sum_gx] = sums[ch];
-            self.grad_beta.data_mut()[ch] += sum_g as f32;
-            self.grad_gamma.data_mut()[ch] += sum_gx as f32;
+            if !self.input_grad_only {
+                let [sum_g, sum_gx] = sums[ch];
+                self.grad_beta.data_mut()[ch] += sum_g as f32;
+                self.grad_gamma.data_mut()[ch] += sum_gx as f32;
+            }
             ks[ch] = f64::from(self.gamma.data()[ch]) * self.cached_inv_std[ch];
         }
         {

@@ -15,6 +15,10 @@ use rand::Rng;
 /// recorded pair is exactly what the paper's Taylor importance score
 /// (Eq. 4) needs: `Θ'(a, x) = |a · ∂L/∂a|` evaluated at the filter's
 /// output feature map.
+///
+/// Recording also switches the layer into *scoring mode*: the forward
+/// pass keeps no im2col cache and the backward pass computes the input
+/// gradient only, leaving the weight and bias gradients untouched.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Tensor,
@@ -27,7 +31,7 @@ pub struct Conv2d {
     cached_cols: Vec<Tensor>,
     cached_geom: Option<Conv2dGeometry>,
     cached_batch: usize,
-    // Importance-score recording (paper Eq. 3-4).
+    // Importance-score recording (paper Eq. 3-4); also scoring mode.
     record_activations: bool,
     recorded_output: Option<Tensor>,
     recorded_output_grad: Option<Tensor>,
@@ -188,8 +192,13 @@ impl Conv2d {
     }
 
     /// Enables or disables recording of the activation output and its
-    /// gradient for importance scoring.
+    /// gradient for importance scoring, and with it scoring mode (no
+    /// im2col cache, input gradients only). Switching drops the forward
+    /// caches, so a backward pass never mixes the two modes.
     pub fn set_record_activations(&mut self, on: bool) {
+        if on != self.record_activations {
+            self.clear_cache();
+        }
         self.record_activations = on;
         if !on {
             self.recorded_output = None;
@@ -248,11 +257,14 @@ impl Conv2d {
         let mut out = Tensor::zeros(&[n, self.out_channels(), geom.out_h, geom.out_w]);
         self.cached_cols.clear();
         let per_sample = self.out_channels() * geom.out_h * geom.out_w;
+        // Scoring mode never computes dW, so it keeps no columns.
+        let keep_cols = !self.record_activations;
         // Samples are independent: each task owns one sample's output
         // slice and im2col matrix, and the per-sample arithmetic is
         // identical to the serial loop, so any thread count produces
         // bit-identical results.
-        let mut col_slots: Vec<Option<Result<Tensor, NnError>>> = (0..n).map(|_| None).collect();
+        let mut col_slots: Vec<Option<Result<Option<Tensor>, NnError>>> =
+            (0..n).map(|_| None).collect();
         {
             let x = &x;
             let geom = &geom;
@@ -263,7 +275,10 @@ impl Conv2d {
                 .enumerate()
                 .map(|(s, (chunk, slot))| {
                     Box::new(move || {
-                        *slot = Some(forward_sample(x, s, geom, wmat, chunk));
+                        *slot = Some(
+                            forward_sample(x, s, geom, wmat, chunk)
+                                .map(|cols| keep_cols.then_some(cols)),
+                        );
                     }) as cap_par::ScopedTask<'_>
                 })
                 .collect();
@@ -273,7 +288,7 @@ impl Conv2d {
             let cols = slot.ok_or(NnError::TaskNotRun {
                 layer: "Conv2d::forward",
             })??;
-            self.cached_cols.push(cols);
+            self.cached_cols.extend(cols);
         }
         if let Some(b) = &self.bias {
             let (oh, ow) = (geom.out_h, geom.out_w);
@@ -297,7 +312,8 @@ impl Conv2d {
     }
 
     /// Backward pass: accumulates weight/bias gradients and returns the
-    /// gradient w.r.t. the input.
+    /// gradient w.r.t. the input. In scoring mode only the input
+    /// gradient is computed.
     ///
     /// # Errors
     ///
@@ -319,7 +335,8 @@ impl Conv2d {
                 got: grad_out.shape().to_vec(),
             });
         }
-        if self.record_activations {
+        let scoring = self.record_activations;
+        if scoring {
             self.recorded_output_grad = Some(grad_out.clone());
         }
         let k = geom.kernel;
@@ -336,14 +353,20 @@ impl Conv2d {
         // sample order below — the exact summation order of the serial
         // loop — so results are bit-identical for any thread count. The
         // wave bounds memory to `threads` per-sample gw tensors instead
-        // of the whole batch.
-        let wave = cap_par::effective_parallelism().max(1);
-        let cached_cols = &self.cached_cols;
+        // of the whole batch; scoring mode holds none, so it runs every
+        // sample in one wave.
+        let wave = if scoring {
+            n
+        } else {
+            cap_par::effective_parallelism()
+        }
+        .max(1);
+        let cached_cols = (!scoring).then_some(&self.cached_cols);
         let gin_data = grad_in.data_mut();
         let mut s0 = 0;
         while s0 < n {
             let count = wave.min(n - s0);
-            let mut gw_slots: Vec<Option<Result<Tensor, NnError>>> =
+            let mut gw_slots: Vec<Option<Result<Option<Tensor>, NnError>>> =
                 (0..count).map(|_| None).collect();
             {
                 let geom = &geom;
@@ -362,7 +385,7 @@ impl Conv2d {
                                 per_sample,
                                 geom,
                                 wmat,
-                                &cached_cols[s],
+                                cached_cols.map(|c| &c[s]),
                                 gin_chunk,
                             ));
                         }) as cap_par::ScopedTask<'_>
@@ -374,9 +397,14 @@ impl Conv2d {
                 let gw = slot.ok_or(NnError::TaskNotRun {
                     layer: "Conv2d::backward",
                 })??;
-                grad_wmat.axpy(1.0, &gw)?;
+                if let Some(gw) = gw {
+                    grad_wmat.axpy(1.0, &gw)?;
+                }
             }
             s0 += count;
+        }
+        if scoring {
+            return Ok(grad_in);
         }
         let gw4 = grad_wmat.reshape(self.weight.shape())?;
         self.grad_weight.axpy(1.0, &gw4)?;
@@ -492,23 +520,24 @@ fn forward_sample(
 }
 
 /// One sample of the backward pass: scatters the input gradient into the
-/// sample's own `grad_in` slice and returns the sample's weight-gradient
-/// contribution `g · colsᵀ` for the caller to reduce in sample order.
+/// sample's own `grad_in` slice and, given the sample's cached columns,
+/// returns its weight-gradient contribution `g · colsᵀ` for the caller
+/// to reduce in sample order.
 fn backward_sample(
     grad_out: &Tensor,
     s: usize,
     per_sample: usize,
     geom: &Conv2dGeometry,
     wmat: &Tensor,
-    cols: &Tensor,
+    cols: Option<&Tensor>,
     gin_chunk: &mut [f32],
-) -> Result<Tensor, NnError> {
+) -> Result<Option<Tensor>, NnError> {
     let g = Tensor::from_vec(
         vec![geom.out_channels, geom.out_h * geom.out_w],
         grad_out.data()[s * per_sample..(s + 1) * per_sample].to_vec(),
     )?;
     // dW contribution: g · colsᵀ
-    let gw = matmul_transpose_b(&g, cols)?;
+    let gw = cols.map(|cols| matmul_transpose_b(&g, cols)).transpose()?;
     // dcols = Wᵀ · g ; dX = col2im(dcols)
     let gcols = matmul_transpose_a(wmat, &g)?;
     col2im_sample(&gcols, gin_chunk, geom);

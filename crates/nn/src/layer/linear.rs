@@ -11,6 +11,8 @@ pub struct Linear {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
+    // Scoring mode: backward computes the input gradient only.
+    input_grad_only: bool,
 }
 
 impl Linear {
@@ -37,6 +39,7 @@ impl Linear {
             grad_weight: Tensor::zeros(&[out_features, in_features]),
             grad_bias: Tensor::zeros(&[out_features]),
             cached_input: None,
+            input_grad_only: false,
         })
     }
 
@@ -65,6 +68,7 @@ impl Linear {
             grad_weight,
             grad_bias,
             cached_input: None,
+            input_grad_only: false,
         })
     }
 
@@ -99,6 +103,12 @@ impl Linear {
         self.grad_bias.fill(0.0);
     }
 
+    /// Scoring mode (set with the network's activation recording):
+    /// backward leaves `dW`/`db` untouched and computes `∂L/∂x` only.
+    pub(crate) fn set_input_grad_only(&mut self, on: bool) {
+        self.input_grad_only = on;
+    }
+
     /// Forward pass over `[N, in]`.
     ///
     /// # Errors
@@ -124,7 +134,8 @@ impl Linear {
         Ok(y)
     }
 
-    /// Backward pass: accumulates gradients and returns `dL/dx`.
+    /// Backward pass: accumulates gradients and returns `dL/dx` (scoring
+    /// mode: returns `dL/dx` only).
     ///
     /// # Errors
     ///
@@ -146,12 +157,14 @@ impl Linear {
             });
         }
         // dW = gᵀ x ; db = column sums of g ; dx = g W.
-        let gw = matmul_transpose_a(grad_out, x)?;
-        self.grad_weight.axpy(1.0, &gw)?;
-        let (n, out) = (grad_out.dim(0), grad_out.dim(1));
-        for s in 0..n {
-            for j in 0..out {
-                self.grad_bias.data_mut()[j] += grad_out.data()[s * out + j];
+        if !self.input_grad_only {
+            let gw = matmul_transpose_a(grad_out, x)?;
+            self.grad_weight.axpy(1.0, &gw)?;
+            let (n, out) = (grad_out.dim(0), grad_out.dim(1));
+            for s in 0..n {
+                for j in 0..out {
+                    self.grad_bias.data_mut()[j] += grad_out.data()[s * out + j];
+                }
             }
         }
         Ok(matmul(grad_out, &self.weight)?)

@@ -179,10 +179,13 @@ impl Layer {
         }
     }
 
-    /// Enables activation recording on any contained convolutions.
+    /// Enables activation recording on any contained convolutions, and
+    /// with it scoring mode (see [`crate::Network::set_record_activations`]).
     pub fn set_record_activations(&mut self, on: bool) {
         match self {
             Layer::Conv(l) => l.set_record_activations(on),
+            Layer::BatchNorm(l) => l.set_input_grad_only(on),
+            Layer::Linear(l) => l.set_input_grad_only(on),
             Layer::Residual(l) => l.set_record_activations(on),
             _ => {}
         }

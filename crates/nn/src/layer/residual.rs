@@ -215,12 +215,17 @@ impl ResidualBlock {
                 .map_or(0, |(c, b)| c.num_params() + b.num_params())
     }
 
-    /// Enables activation recording on both convolutions.
+    /// Enables activation recording on every convolution of the block,
+    /// and with it scoring mode on every sub-layer (see
+    /// [`crate::Network::set_record_activations`]).
     pub fn set_record_activations(&mut self, on: bool) {
         self.conv1.set_record_activations(on);
+        self.bn1.set_input_grad_only(on);
         self.conv2.set_record_activations(on);
-        if let Some((c, _)) = &mut self.shortcut {
+        self.bn2.set_input_grad_only(on);
+        if let Some((c, b)) = &mut self.shortcut {
             c.set_record_activations(on);
+            b.set_input_grad_only(on);
         }
     }
 

@@ -98,6 +98,14 @@ impl Network {
     }
 
     /// Enables or disables activation recording on every convolution.
+    ///
+    /// Recording puts the whole network in *scoring mode*: it computes
+    /// only what importance scoring reads. Convolutions keep no im2col
+    /// cache, and backward computes input gradients only — conv, batch-
+    /// norm and linear parameter gradients are neither computed nor
+    /// touched. The recorded activations and activation gradients are
+    /// bit-identical to those of a normal forward/backward pair; a
+    /// caller that needs weight gradients must not record.
     pub fn set_record_activations(&mut self, on: bool) {
         for layer in &mut self.layers {
             layer.set_record_activations(on);
@@ -217,6 +225,44 @@ mod tests {
         net.visit_params_mut(&mut |_, _| count += 1);
         // conv(w,b) + res(conv1 w, bn1 g/b, conv2 w, bn2 g/b, sc w, sc bn g/b) + linear(w,b)
         assert_eq!(count, 2 + 9 + 2);
+    }
+
+    #[test]
+    fn scoring_mode_matches_full_backward_and_leaves_param_grads() {
+        let mut r = rng();
+        let mut net = tiny_net(&mut r);
+        let x = cap_tensor::randn(&[3, 3, 8, 8], 0.0, 1.0, &mut r);
+        let y = net.forward(&x, false).unwrap();
+        let g = cap_tensor::randn(y.shape(), 0.0, 1.0, &mut r);
+        net.zero_grad();
+        let full = net.backward(&g).unwrap();
+
+        // Mark every parameter gradient; scoring mode must not touch it.
+        net.visit_params_mut(&mut |_, gr| gr.fill(7.0));
+        net.set_record_activations(true);
+        let y2 = net.forward(&x, false).unwrap();
+        let scored = net.backward(&g).unwrap();
+        assert_eq!(y, y2);
+        for (a, b) in full.data().iter().zip(scored.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        net.visit_params_mut(&mut |_, gr| assert!(gr.data().iter().all(|&v| v == 7.0)));
+        let mut recorded = 0;
+        net.visit_convs(&mut |c| {
+            recorded += usize::from(c.recorded_output_grad().is_some());
+        });
+        assert_eq!(recorded, net.conv_count());
+
+        // Leaving scoring mode drops its caches: no backward without a
+        // fresh forward, and weight gradients flow again after one.
+        net.set_record_activations(false);
+        assert!(net.backward(&g).is_err());
+        net.forward(&x, false).unwrap();
+        net.zero_grad();
+        net.backward(&g).unwrap();
+        let mut nonzero = false;
+        net.visit_params_mut(&mut |_, gr| nonzero |= gr.l2_norm() > 0.0);
+        assert!(nonzero);
     }
 
     #[test]

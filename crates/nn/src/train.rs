@@ -472,6 +472,10 @@ mod tests {
     use super::*;
     use crate::layer::{Conv2d, GlobalAvgPool, Linear, Relu};
 
+    // Every test that calls `fit` holds `cap_obs::test_lock()`: `fit`
+    // emits epoch events into the global sink and reads the global
+    // fault spec, both of which other tests in this file set.
+
     fn toy_problem() -> (Network, Tensor, Vec<usize>) {
         // Two linearly separable classes: constant-positive vs
         // constant-negative images.
@@ -497,6 +501,7 @@ mod tests {
 
     #[test]
     fn fit_learns_separable_problem() {
+        let _guard = cap_obs::test_lock();
         let (mut net, images, labels) = toy_problem();
         let cfg = TrainConfig {
             epochs: 30,
@@ -596,6 +601,7 @@ mod tests {
 
     #[test]
     fn fit_validates_inputs() {
+        let _guard = cap_obs::test_lock();
         let (mut net, images, _) = toy_problem();
         let cfg = TrainConfig::default();
         assert!(fit(&mut net, &images, &[0, 1], &cfg).is_err());
@@ -732,6 +738,7 @@ mod tests {
 
     #[test]
     fn regularized_training_shrinks_l1_mass() {
+        let _guard = cap_obs::test_lock();
         let (net, images, labels) = toy_problem();
         let mut plain = net.clone();
         let mut reg = net;

@@ -378,6 +378,16 @@ pub fn neon_available() -> bool {
     false
 }
 
+/// Serialises the unit tests that flip the process-wide mode against
+/// those that compare bits across GEMM calls: a flip between two calls
+/// swaps FMA for mul+add and changes the last bit.
+#[cfg(test)]
+pub(crate) fn mode_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,6 +400,8 @@ mod tests {
 
     #[test]
     fn set_mode_rejects_unavailable_isa() {
+        let _guard = mode_test_lock();
+        let prior = simd_mode();
         if !avx2_available() {
             assert!(set_simd_mode(SimdMode::Avx2).is_err());
         } else {
@@ -398,6 +410,7 @@ mod tests {
         }
         assert!(set_simd_mode(SimdMode::Scalar).is_ok());
         assert_eq!(simd_mode(), SimdMode::Scalar);
+        set_simd_mode(prior).unwrap();
     }
 
     #[cfg(target_arch = "x86_64")]
