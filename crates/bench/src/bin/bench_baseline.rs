@@ -19,10 +19,9 @@
 //!
 //! After the kernel benches, an observability section writes
 //! `BENCH_obs.json` (`--obs-out` overrides): span/counter overhead with
-//! telemetry disabled, enabled, with the sampling profiler mirroring,
-//! and with the flight recorder on, plus `/metrics` scrape latency
-//! while a smoke training loop runs. Kernel timings always run first,
-//! before any telemetry is switched on.
+//! telemetry disabled, enabled, and with the flight recorder on, plus
+//! `/metrics` scrape latency while a smoke training loop runs. Kernel
+//! timings always run first, before any telemetry is switched on.
 //!
 //! Every run's kernel rows are also *appended* to the perf-trend
 //! history at `results/bench_history.jsonl` (`--history` overrides,
@@ -640,13 +639,13 @@ struct ObsSummary {
     /// `span.*.count` histogram deltas).
     spans_per_epoch: f64,
     /// The measured disabled-span cost net of the bench harness's own
-    /// dispatch floor, reused as a conservative per-span price in the
-    /// profiler-off overhead model.
+    /// dispatch floor, reused as the per-span price in the
+    /// telemetry-off overhead model.
     disabled_span_ns: f64,
-    /// Profiler-off overhead bound: even charging every span of the
-    /// epoch the *full* disabled-path cost (a strict over-estimate of
-    /// the one relaxed load `prof::mirroring()` adds), this fraction
-    /// of the epoch is what the sampler costs when it is off.
+    /// Telemetry-off overhead bound: charging every span of the epoch
+    /// the full disabled-path cost (one relaxed load and a `None`
+    /// drop), this fraction of the epoch is what span instrumentation
+    /// costs a run that records nothing.
     prof_off_overhead_fraction: f64,
 }
 
@@ -657,8 +656,8 @@ impl ObsSummary {
         self.overhead_fraction < 0.01
     }
 
-    /// Whether the profiler-off span overhead stays under 0.5% of a
-    /// smoke epoch (the capprof acceptance bound).
+    /// Whether the disabled-span overhead stays under 0.5% of a smoke
+    /// epoch (the telemetry-off acceptance bound).
     fn off_overhead_lt_half_pct(&self) -> bool {
         self.prof_off_overhead_fraction < 0.005
     }
@@ -720,17 +719,6 @@ fn run_obs_benches(opts: &Options) -> ObsSummary {
         cap_obs::counter_add("bench.obs.counter", 1);
     });
 
-    // Span path with the sampling profiler live: the mirror push/pop
-    // into the shared per-thread stack is the cost; the sampling rate
-    // is irrelevant to it.
-    if cap_obs::prof::start_global(97, None).unwrap_or(false) {
-        bench("span", "enabled+prof", &mut || {
-            let _s = cap_obs::span!("bench.obs.span");
-            black_box(&_s);
-        });
-        cap_obs::prof::stop_global();
-    }
-
     cap_obs::flight::enable();
     bench("span", "enabled+flight", &mut || {
         let _s = cap_obs::span!("bench.obs.span");
@@ -768,7 +756,7 @@ fn run_obs_benches(opts: &Options) -> ObsSummary {
     // Recorder overhead model: cadence samples per second × cost per
     // sample, relative to one smoke training epoch. The same epoch's
     // registry `span.*.count` deltas give spans-per-epoch for the
-    // profiler-off overhead bound.
+    // telemetry-off overhead bound.
     let span_count_total = || -> f64 {
         cap_obs::tsdb::snapshot_points()
             .iter()

@@ -15,7 +15,7 @@
 /// Resolution order for the sink:
 ///
 /// 1. `--trace <spec>` on the command line (e.g. `--trace jsonl:run.jsonl`
-///    or `--trace pretty`; append `,detail` for per-span/per-batch events),
+///    or `--trace pretty`; append `,detail` for per-batch training events),
 /// 2. the `CAP_TRACE` environment variable with the same grammar,
 /// 3. otherwise the pretty sink on stderr, so progress narration keeps
 ///    appearing exactly where the old `eprintln!`-based logging went.

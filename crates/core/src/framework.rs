@@ -601,8 +601,10 @@ const NAN_WINDOW_SECS: f64 = 3600.0;
 
 /// Run-history side of a persisted pruning run: owns the sampling
 /// recorder writing `<run-dir>/series.capts`, the alert rules feeding
-/// `<run-dir>/alerts.jsonl`, and the per-class attribution sidecar.
-/// Dropping it (any exit from the loop, including errors) stops the
+/// `<run-dir>/alerts.jsonl`, the per-class attribution sidecar, and
+/// `<run-dir>/profile.folded` (the span tree folded into exact self
+/// times, rewritten at every iteration boundary). Dropping it (any exit
+/// from the loop, including errors) writes the final profile, stops the
 /// recorder and uninstalls the rules.
 struct RunHistory<'a> {
     dir: &'a RunDir,
@@ -610,9 +612,6 @@ struct RunHistory<'a> {
     /// Whether *this* run started the process-global recorder (another
     /// concurrent run may already own it; then we must not stop it).
     recording: bool,
-    /// Whether *this* run started the sampling profiler (same
-    /// first-start-wins rule as `recording`).
-    profiling: bool,
 }
 
 impl<'a> RunHistory<'a> {
@@ -628,27 +627,6 @@ impl<'a> RunHistory<'a> {
                 eprintln!("run history: recorder disabled: {e}");
                 false
             }
-        };
-        // Sampling profiler: when CAP_PROF_HZ asks for one, the run dir
-        // owns `profile.folded`. A profiler started earlier (e.g. by
-        // init_telemetry before the run dir existed) is retargeted here
-        // instead; it keeps running after the run, same as the server.
-        let profiling = match cap_obs::prof::hz_from_env() {
-            Some(hz) => {
-                let out = dir.root().join("profile.folded");
-                match cap_obs::prof::start_global(hz, Some(out.clone())) {
-                    Ok(true) => true,
-                    Ok(false) => {
-                        cap_obs::prof::set_output(out);
-                        false
-                    }
-                    Err(e) => {
-                        eprintln!("run history: profiler disabled: {e}");
-                        false
-                    }
-                }
-            }
-            None => false,
         };
         cap_obs::alerts::install(
             vec![
@@ -683,7 +661,6 @@ impl<'a> RunHistory<'a> {
             dir,
             eval_batch: cfg.eval_batch,
             recording,
-            profiling,
         }
     }
 
@@ -742,7 +719,19 @@ impl<'a> RunHistory<'a> {
             }
         }
         cap_obs::recorder::record_boundary_sample();
+        self.write_profile();
         Ok(())
+    }
+
+    /// Rewrites `<run-dir>/profile.folded` from the span tree. Like the
+    /// rest of the history it is best-effort: a failed write is reported
+    /// and the run goes on.
+    fn write_profile(&self) {
+        let folded = cap_obs::flame::folded_string(&cap_obs::span_folded());
+        let path = self.dir.root().join("profile.folded");
+        if let Err(e) = cap_obs::fsx::atomic_write(&path, folded.as_bytes()) {
+            eprintln!("run history: {}: {e}", path.display());
+        }
     }
 }
 
@@ -751,14 +740,7 @@ impl Drop for RunHistory<'_> {
         if self.recording {
             cap_obs::recorder::stop_global();
         }
-        if self.profiling {
-            // Final durable profile.folded for the run.
-            cap_obs::prof::stop_global();
-        } else {
-            // A longer-lived profiler keeps sampling, but the run dir
-            // should still hold a complete profile at run end.
-            cap_obs::prof::flush_profile();
-        }
+        self.write_profile();
         cap_obs::alerts::clear();
     }
 }
@@ -1268,6 +1250,20 @@ mod tests {
         }
         // No alert fired in a healthy run: no alerts.jsonl.
         assert!(!root.join("alerts.jsonl").exists());
+
+        // profile.folded: written with no env var set, parseable, and
+        // holding the scoring and fine-tuning frames.
+        let text = std::fs::read_to_string(root.join("profile.folded")).unwrap();
+        let profile = cap_obs::flame::parse_folded(&text);
+        assert!(!profile.is_empty(), "empty profile.folded");
+        for frame in ["core.score", "nn.fit"] {
+            assert!(
+                profile
+                    .iter()
+                    .any(|(stack, _)| stack.split(';').any(|f| f == frame)),
+                "no {frame} frame in {text}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -11,7 +11,7 @@
 //! | `/trace` | the flight recorder | chrome://tracing trace-event JSON |
 //! | `/api/series` | recorded history ([`crate::recorder`]) | JSON (`?name=<series>&from=<seq>&to=<seq>&downsample=<n>`) |
 //! | `/dash` | run-history dashboard ([`crate::dash`]) | self-contained HTML |
-//! | `/prof` | live sampling-profiler flamegraph ([`crate::prof`] + [`crate::flame`]) | SVG |
+//! | `/prof` | live flamegraph of exact span self times ([`crate::span_folded`] + [`crate::flame`]) | SVG |
 //!
 //! The server also observes itself: every request bumps a per-route
 //! counter (`obs.http.requests.<route>`) and records its handling time
@@ -326,7 +326,7 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
         "/prof" => (
             "200 OK",
             "image/svg+xml; charset=utf-8",
-            crate::flame::render_svg(&crate::prof::live_stacks(), "live profile"),
+            crate::flame::render_svg(&crate::span_folded(), "live profile"),
         ),
         _ => dynamic_response(base, query).unwrap_or_else(|| {
             (
@@ -683,12 +683,19 @@ mod tests {
     }
 
     #[test]
-    fn prof_route_serves_svg_even_without_a_profiler() {
+    fn prof_route_renders_the_span_tree_as_svg() {
+        let _guard = crate::test_lock();
+        crate::reset();
         let (status, content_type, body) = route("GET", "/prof");
         assert!(status.starts_with("200"));
         assert!(content_type.starts_with("image/svg+xml"));
         assert!(body.starts_with("<svg"), "{body}");
         assert!(body.ends_with("</svg>\n"), "{body}");
+        assert!(body.contains("no span time recorded"), "{body}");
+        crate::registry().histogram_record("span.demo.outer/demo.inner", 7_000.0);
+        let (_, _, body) = route("GET", "/prof");
+        assert!(body.contains("demo.inner: 7 µs"), "{body}");
+        crate::reset();
     }
 
     #[test]

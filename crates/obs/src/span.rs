@@ -1,7 +1,8 @@
 //! RAII span timers with nesting, rolled up into the metrics registry.
 
-use crate::metrics::Metric;
+use crate::metrics::{Histogram, Metric};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 thread_local! {
@@ -27,11 +28,6 @@ impl SpanGuard {
             return SpanGuard { active: None };
         }
         STACK.with(|s| s.borrow_mut().push(name));
-        // Mirror the push for the sampling profiler (one relaxed load
-        // when off; the disabled-span path above is untouched).
-        if crate::prof::mirroring() {
-            crate::prof::on_span_enter(name);
-        }
         SpanGuard {
             active: Some((Instant::now(), name)),
         }
@@ -54,21 +50,55 @@ impl Drop for SpanGuard {
             }
             path
         });
-        if crate::prof::mirroring() {
-            crate::prof::on_span_exit(name);
-        }
         crate::registry().histogram_record(&format!("span.{path}"), elapsed_ns);
         if crate::flight::enabled() {
             crate::flight::record_span(&path, crate::instant_offset_us(start), elapsed_ns / 1e3);
         }
-        if crate::detail() {
-            crate::emit(
-                crate::Event::new("span")
-                    .str("path", path)
-                    .f64("ns", elapsed_ns),
-            );
+    }
+}
+
+/// The `span.*` histograms of a registry snapshot as `(path, histogram)`
+/// pairs, in the snapshot's sorted-name order (a path sorts directly
+/// after its parent prefix).
+fn span_histograms(snapshot: &[(String, Metric)]) -> Vec<(&str, &Histogram)> {
+    snapshot
+        .iter()
+        .filter_map(|(name, metric)| match metric {
+            Metric::Histogram(h) => name.strip_prefix("span.").map(|p| (p, h)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Folds every `span.*` histogram in the registry into folded-stack
+/// lines (`a;b;c`, sorted) weighted by exact self time in whole µs:
+/// the path's total minus its direct children's totals, clamped at 0.
+/// Lines that round to 0 µs are dropped.
+///
+/// A span still open when this runs has no histogram total yet: its
+/// closed descendants keep their full stacks and only its own self time
+/// is missing. If an earlier instance of the same path already closed,
+/// the open one's children are charged against that total, so its self
+/// time reads low (clamped at 0). Empty when nothing was recorded.
+pub fn span_folded() -> Vec<(String, u64)> {
+    let snapshot = crate::registry().snapshot();
+    let spans = span_histograms(&snapshot);
+    let mut child_ns: BTreeMap<&str, f64> = BTreeMap::new();
+    for (path, h) in &spans {
+        if let Some((parent, _)) = path.rsplit_once('/') {
+            *child_ns.entry(parent).or_default() += h.sum();
         }
     }
+    let mut lines: Vec<(String, u64)> = spans
+        .iter()
+        .filter_map(|(path, h)| {
+            let self_ns = (h.sum() - child_ns.get(path).copied().unwrap_or(0.0)).max(0.0);
+            let us = (self_ns / 1e3).round() as u64;
+            (us > 0).then(|| (path.replace('/', ";"), us))
+        })
+        .collect();
+    lines.sort_unstable();
+    lines
 }
 
 /// Renders every `span.*` histogram in the registry as an indented
@@ -77,21 +107,15 @@ impl Drop for SpanGuard {
 /// Returns an empty string when nothing was recorded.
 pub fn span_report() -> String {
     let snapshot = crate::registry().snapshot();
-    let spans: Vec<(&str, &crate::metrics::Histogram)> = snapshot
-        .iter()
-        .filter_map(|(name, metric)| match metric {
-            Metric::Histogram(h) => name.strip_prefix("span.").map(|p| (p, h)),
-            _ => None,
-        })
-        .collect();
+    let spans = span_histograms(&snapshot);
     if spans.is_empty() {
         return String::new();
     }
     let mut out = String::from(
         "span                                      count      total      p50      p95      max\n",
     );
-    // BTreeMap ordering means a path sorts directly after its parent
-    // prefix, so indenting by depth renders the tree.
+    // A path sorts directly after its parent prefix, so indenting by
+    // depth renders the tree.
     for (path, h) in spans {
         let depth = path.matches('/').count();
         let label = format!(
@@ -198,6 +222,62 @@ mod tests {
             assert!(report.contains("  batch"), "{report}");
             assert!(report.lines().count() >= 3, "{report}");
         });
+    }
+
+    #[test]
+    fn folded_weights_are_exact_self_times() {
+        let _guard = crate::test_lock();
+        crate::reset();
+        let rec =
+            |path: &str, ns: f64| crate::registry().histogram_record(&format!("span.{path}"), ns);
+        // root: 10 µs over two calls; its children take 3 + 2 + 0.4 µs.
+        rec("root", 6_000.0);
+        rec("root", 4_000.0);
+        rec("root/a", 3_000.0);
+        rec("root/a/x", 1_000.0);
+        rec("root/b", 2_000.0);
+        // Rounds to 0 µs: no line, but still subtracted from root.
+        rec("root/c", 400.0);
+        // Children summing past their parent clamp its self time at 0.
+        rec("clamped", 1_000.0);
+        rec("clamped/child", 3_000.0);
+        // A child recorded while its parent is still open (no total yet).
+        rec("open/child", 2_000.0);
+        crate::registry().histogram_record("not.a.span", 5e6);
+
+        let folded = span_folded();
+        assert_eq!(
+            folded,
+            vec![
+                ("clamped;child".to_string(), 3),
+                ("open;child".to_string(), 2),
+                ("root".to_string(), 5), // 10 - 3 - 2 - 0.4 = 4.6 µs
+                ("root;a".to_string(), 2),
+                ("root;a;x".to_string(), 1),
+                ("root;b".to_string(), 2),
+            ]
+        );
+        let under_root: u64 = folded
+            .iter()
+            .filter(|(stack, _)| stack == "root" || stack.starts_with("root;"))
+            .map(|(_, us)| us)
+            .sum();
+        assert_eq!(under_root, 10, "root's lines sum to its 10 µs total");
+        crate::reset();
+    }
+
+    #[test]
+    fn disabled_or_empty_registry_folds_to_nothing() {
+        let _guard = crate::test_lock();
+        crate::reset();
+        assert!(span_folded().is_empty());
+        crate::disable();
+        {
+            let _a = SpanGuard::enter("ghost");
+            let _b = SpanGuard::enter("inner");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(span_folded().is_empty());
     }
 
     #[test]

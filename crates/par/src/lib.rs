@@ -417,9 +417,9 @@ impl Drop for Pool {
 
 fn worker_loop(shared: &Shared, index: usize) {
     IN_WORKER.with(|w| w.set(true));
-    // Make this worker's span stack visible to the sampling profiler
-    // (cap-obs capprof); a no-op unless profiling is ever enabled.
-    cap_obs::prof::register_current_thread();
+    // Spans opened by tasks start on this worker's own (empty)
+    // thread-local span stack: they record, and fold into
+    // profile.folded, as roots rather than under the submitting span.
     // Per-worker telemetry: names are built once, counters accumulate
     // locally, and the registry is touched only on the (instrumented)
     // enabled path — each gauge has exactly one writer, this thread.

@@ -16,8 +16,8 @@
 //!                                     render the run's history dashboard to a
 //!                                     self-contained HTML file
 //! capctl flame <run-dir|file.folded> [--export <file.svg>]
-//!                                     render a sampled profile (capprof's
-//!                                     profile.folded) as a flamegraph SVG
+//!                                     render a run's profile.folded (exact
+//!                                     span self times, µs) as a flamegraph SVG
 //! capctl flame --diff <A> <B> [--export <file.svg>]
 //!                                     differential flamegraph: B relative to A
 //! capctl bench trend [--history <file.jsonl>] [--export <file.html>]
@@ -34,8 +34,8 @@
 //! All commands accept `[--trace <spec>] [--serve-metrics <addr>]`
 //! before the subcommand. Tracing: `--trace pretty` narrates events on
 //! stderr, `--trace jsonl:<path>` writes machine-readable JSON lines
-//! (append `,detail` for per-span events). The `CAP_TRACE` environment
-//! variable accepts the same grammar:
+//! (append `,detail` for per-batch training events). The `CAP_TRACE`
+//! environment variable accepts the same grammar:
 //!
 //! ```text
 //! CAP_TRACE=jsonl:run.jsonl cargo run --bin capctl -- info model.capn
@@ -233,7 +233,11 @@ fn init_trace(args: &mut Vec<String>) -> Result<(), CtlError> {
                 None => Ok(None),
             }
         };
-    let spec = take(args, "--trace", "a spec (pretty | jsonl:<path>[,detail])")?;
+    let spec = take(
+        args,
+        "--trace",
+        "a spec (pretty | jsonl:<path>[,detail]; ,detail adds per-batch events)",
+    )?;
     let serve = take(args, "--serve-metrics", "an address (e.g. 127.0.0.1:9184)")?;
     let telemetry = cap_obs::init_telemetry(spec.as_deref())
         .map_err(|reason| CtlError::Telemetry { reason })?;
@@ -567,7 +571,7 @@ fn cmd_dash(args: &[String]) -> Result<(), CtlError> {
 }
 
 /// Reads a folded-stack profile. A directory argument resolves to the
-/// `profile.folded` capprof writes into every run dir.
+/// `profile.folded` every pruning run writes into its run dir.
 fn read_folded(arg: &str) -> Result<Vec<(String, u64)>, CtlError> {
     let mut path = std::path::PathBuf::from(arg);
     if path.is_dir() {
@@ -581,7 +585,7 @@ fn read_folded(arg: &str) -> Result<Vec<(String, u64)>, CtlError> {
 }
 
 /// `capctl flame <target> [--export f]` or
-/// `capctl flame --diff <A> <B> [--export f]`: renders a sampled
+/// `capctl flame --diff <A> <B> [--export f]`: renders a span-time
 /// profile (or the difference between two) as a self-contained SVG.
 fn cmd_flame(args: &[String]) -> Result<(), CtlError> {
     let mut diff = false;
