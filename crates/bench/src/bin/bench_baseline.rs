@@ -15,7 +15,10 @@
 //! the JSON path (default `BENCH_kernels.json` in the current directory).
 //! Thread counts are applied with `cap_par::set_threads`, so one process
 //! measures both points; the determinism contract guarantees the outputs
-//! are bit-identical either way, making the comparison pure timing.
+//! are bit-identical either way, making the comparison pure timing. A
+//! row whose thread count exceeds `available_parallelism` only measures
+//! contention, so it carries `"advisory": true` in the JSON and says so
+//! on its stdout line.
 //!
 //! After the kernel benches, an observability section writes
 //! `BENCH_obs.json` (`--obs-out` overrides): span/counter overhead with
@@ -153,6 +156,19 @@ struct Record {
     shape: String,
     threads: usize,
     ns_per_iter: f64,
+}
+
+impl Record {
+    /// More threads than cores: the row times contention, not scaling.
+    fn advisory(&self) -> bool {
+        let cores = available_parallelism();
+        cores > 0 && self.threads > cores
+    }
+}
+
+/// Cores this process may run on (0 when the OS will not say).
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
 }
 
 /// Times `f`: one warmup call, then repeats until the budget elapses or
@@ -412,9 +428,8 @@ struct KernelRecord {
     mode: &'static str,
     op: &'static str,
     shape: String,
-    /// The selector's steady-state verdict for this shape under this
-    /// mode (captured after warmup, so autotuned shapes report their
-    /// cached decision).
+    /// The selector's verdict for this shape under this mode (a pure
+    /// function of shape, layout and mode).
     selector: String,
     ns_per_iter: f64,
     gflops: f64,
@@ -445,7 +460,7 @@ fn run_kernel_benches(opts: &Options) -> Vec<KernelRecord> {
         if cap_tensor::avx2_available() {
             modes.push(SimdMode::Avx2);
         }
-        // Warmup: touches the operands and lets the autotuner settle so
+        // Warmup: touches the operands and the packing buffers so
         // round 0 measures steady state like every other round.
         black_box(matmul_naive_ref(black_box(&a), black_box(&b)));
         for &mode in &modes {
@@ -544,8 +559,7 @@ fn write_json(
     out.push_str(", \"os\": ");
     write_str(&mut out, std::env::consts::OS);
     out.push_str(", \"available_parallelism\": ");
-    let avail = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-    out.push_str(&avail.to_string());
+    out.push_str(&available_parallelism().to_string());
     out.push_str("},\n  \"smoke\": ");
     out.push_str(if opts.smoke { "true" } else { "false" });
     out.push_str(",\n  \"threads_tested\": [");
@@ -573,6 +587,9 @@ fn write_json(
         match serial_ns {
             Some(s) if r.ns_per_iter > 0.0 => write_f64(&mut out, s / r.ns_per_iter),
             _ => out.push_str("null"),
+        }
+        if r.advisory() {
+            out.push_str(", \"advisory\": true");
         }
         out.push('}');
         if i + 1 < records.len() {
@@ -944,8 +961,16 @@ fn main() {
     );
     for r in &records {
         println!(
-            "{:<22} {:<24} threads={} {:>14.0} ns/iter",
-            r.op, r.shape, r.threads, r.ns_per_iter
+            "{:<22} {:<24} threads={} {:>14.0} ns/iter{}",
+            r.op,
+            r.shape,
+            r.threads,
+            r.ns_per_iter,
+            if r.advisory() {
+                "  (advisory: more threads than cores)"
+            } else {
+                ""
+            }
         );
     }
     for r in &kernels {

@@ -173,27 +173,19 @@ pub fn analyze_network(
                 flops += 2
                     * (c2.out_channels() * oh * ow * c2.in_channels() * c2.kernel() * c2.kernel())
                         as u64;
-                flops += (2 * c2.out_channels() * oh * ow) as u64; // bn2
-                                                                   // Shortcut: projection conv is in the params count below;
-                                                                   // its FLOPs are 1x1 conv.
-                let mut params = block.num_params() as u64;
-                let _ = &mut params;
-                let mut shortcut_flops = 0u64;
-                block.visit_convs(&mut |cv| {
-                    // Count only the 1x1 projection here (kernel == 1).
-                    if cv.kernel() == 1 {
-                        shortcut_flops = 2
-                            * (cv.out_channels() * oh * ow * cv.in_channels()) as u64
-                            + (2 * cv.out_channels() * oh * ow) as u64;
-                    }
-                });
-                flops += shortcut_flops;
+                // bn2.
+                flops += (2 * c2.out_channels() * oh * ow) as u64;
+                // Projection shortcut: 1×1 conv plus its batch-norm.
+                if let Some((sc, _)) = block.shortcut() {
+                    flops += 2 * (sc.out_channels() * oh * ow * sc.in_channels()) as u64
+                        + (2 * sc.out_channels() * oh * ow) as u64;
+                }
                 // Addition + final relu.
                 flops += (2 * block.out_channels() * oh * ow) as u64;
                 layers.push(LayerCost {
                     label,
                     flops,
-                    params,
+                    params: block.num_params() as u64,
                 });
                 c = block.out_channels();
                 h = oh;

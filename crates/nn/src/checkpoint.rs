@@ -8,19 +8,19 @@
 //!
 //! # Wire format
 //!
-//! Version 2 (written by [`save`]) frames the layer payload for
-//! integrity checking:
+//! Version 2, the only version [`save`] writes and [`load`] accepts,
+//! frames the layer payload for integrity checking:
 //!
 //! ```text
 //! "CAPN" | u32 version=2 | u64 payload_len | u32 crc32(payload) | payload
 //! ```
 //!
-//! where `payload` is the version-1 body (layer count + tagged layers).
+//! where `payload` is the layer count followed by the tagged layers.
 //! [`load`] verifies the CRC before parsing, so any bit flip in the
 //! payload is rejected as [`CheckpointError::ChecksumMismatch`] instead
-//! of silently restoring garbage weights. Version-1 streams (no
-//! framing) remain loadable; [`save_v1`] still writes them for
-//! compatibility tests.
+//! of silently restoring garbage weights. Any other version, including
+//! the unframed version 1 of early releases, is
+//! [`CheckpointError::UnsupportedVersion`].
 //!
 //! All length fields are validated and data is read incrementally, so a
 //! hostile or truncated stream fails with a [`CheckpointError`] without
@@ -60,10 +60,8 @@ use std::fmt;
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"CAPN";
-/// Current (framed, checksummed) format version.
+/// The (framed, checksummed) format version.
 const VERSION: u32 = 2;
-/// Legacy unframed format version.
-const VERSION_V1: u32 = 1;
 /// Upper bound accepted for the v2 payload length field (hostile input
 /// guard; real checkpoints in this workspace are megabytes).
 const MAX_PAYLOAD: u64 = 1 << 31;
@@ -180,20 +178,24 @@ const TAG_FLATTEN: u8 = 6;
 const TAG_LINEAR: u8 = 7;
 const TAG_RESIDUAL: u8 = 8;
 
-/// Saves `net` to `w` in the current (v2, CRC-framed) format. A `&mut`
+/// Saves `net` to `w` in the v2 (CRC-framed) format. A `&mut`
 /// reference works as the writer.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError::Io`] on write failures.
 pub fn save<W: Write>(net: &Network, mut w: W) -> Result<(), CheckpointError> {
-    let payload = body_bytes(net)?;
+    write_frame(&mut w, &body_bytes(net)?)
+}
+
+/// Writes `payload` behind the v2 frame header (magic, version, length,
+/// CRC).
+fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), CheckpointError> {
     w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION)?;
-    write_u64(&mut w, payload.len() as u64)?;
-    write_u32(&mut w, crc32(&payload))?;
-    w.write_all(&payload)?;
-    Ok(())
+    write_u32(w, VERSION)?;
+    write_u64(w, payload.len() as u64)?;
+    write_u32(w, crc32(payload))?;
+    Ok(w.write_all(payload)?)
 }
 
 /// Serialises `net` to an in-memory v2 checkpoint. Two structurally
@@ -210,42 +212,25 @@ pub fn to_bytes(net: &Network) -> Result<Vec<u8>, CheckpointError> {
     Ok(buf)
 }
 
-/// Saves `net` in the legacy unframed v1 format (no checksum). Kept so
-/// compatibility tests can prove v1 streams remain loadable; new code
-/// should use [`save`].
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on write failures.
-pub fn save_v1<W: Write>(net: &Network, mut w: W) -> Result<(), CheckpointError> {
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION_V1)?;
-    save_body(net, &mut w)
-}
-
-fn save_body<W: Write>(net: &Network, w: &mut W) -> Result<(), CheckpointError> {
-    write_u64(w, net.layers().len() as u64)?;
-    for layer in net.layers() {
-        save_layer(layer, w)?;
-    }
-    Ok(())
-}
-
+/// The v2 payload: layer count, then each tagged layer.
 fn body_bytes(net: &Network) -> Result<Vec<u8>, CheckpointError> {
     let mut payload = Vec::new();
-    save_body(net, &mut payload)?;
+    write_u64(&mut payload, net.layers().len() as u64)?;
+    for layer in net.layers() {
+        save_layer(layer, &mut payload)?;
+    }
     Ok(payload)
 }
 
-/// Loads a network from `r` (v2 with CRC validation, or legacy v1). A
-/// `&mut` reference or a byte slice works as the reader.
+/// Loads a network from `r`, validating the v2 frame and CRC. A `&mut`
+/// reference or a byte slice works as the reader.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError::BadMagic`] /
 /// [`CheckpointError::UnsupportedVersion`] /
 /// [`CheckpointError::Corrupt`] for malformed input,
-/// [`CheckpointError::ChecksumMismatch`] when the v2 payload fails CRC
+/// [`CheckpointError::ChecksumMismatch`] when the payload fails CRC
 /// validation, and propagates I/O errors.
 pub fn load<R: Read>(mut r: R) -> Result<Network, CheckpointError> {
     let mut magic = [0u8; 4];
@@ -254,32 +239,29 @@ pub fn load<R: Read>(mut r: R) -> Result<Network, CheckpointError> {
         return Err(CheckpointError::BadMagic);
     }
     let version = read_u32(&mut r)?;
-    match version {
-        VERSION_V1 => load_body(&mut r),
-        VERSION => {
-            let len = read_u64(&mut r)?;
-            if len > MAX_PAYLOAD {
-                return Err(CheckpointError::Corrupt {
-                    reason: format!("implausible payload length {len}"),
-                });
-            }
-            let expected = read_u32(&mut r)?;
-            let payload = read_chunked(&mut r, len as usize)?;
-            let found = crc32(&payload);
-            if found != expected {
-                return Err(CheckpointError::ChecksumMismatch { expected, found });
-            }
-            let mut slice: &[u8] = &payload;
-            let net = load_body(&mut slice)?;
-            if !slice.is_empty() {
-                return Err(CheckpointError::Corrupt {
-                    reason: format!("{} trailing payload bytes", slice.len()),
-                });
-            }
-            Ok(net)
-        }
-        found => Err(CheckpointError::UnsupportedVersion { found }),
+    if version != VERSION {
+        return Err(CheckpointError::UnsupportedVersion { found: version });
     }
+    let len = read_u64(&mut r)?;
+    if len > MAX_PAYLOAD {
+        return Err(CheckpointError::Corrupt {
+            reason: format!("implausible payload length {len}"),
+        });
+    }
+    let expected = read_u32(&mut r)?;
+    let payload = read_chunked(&mut r, len as usize)?;
+    let found = crc32(&payload);
+    if found != expected {
+        return Err(CheckpointError::ChecksumMismatch { expected, found });
+    }
+    let mut slice: &[u8] = &payload;
+    let net = load_body(&mut slice)?;
+    if !slice.is_empty() {
+        return Err(CheckpointError::Corrupt {
+            reason: format!("{} trailing payload bytes", slice.len()),
+        });
+    }
+    Ok(net)
 }
 
 fn load_body<R: Read>(r: &mut R) -> Result<Network, CheckpointError> {
@@ -633,15 +615,27 @@ mod tests {
         ));
     }
 
+    /// `payload` behind a valid v2 frame, so `load` reaches the body
+    /// parser instead of stopping at the CRC check.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, payload).unwrap();
+        buf
+    }
+
     #[test]
     fn unsupported_version_rejected() {
-        let mut buf = Vec::new();
-        save(&full_net(), &mut buf).unwrap();
-        buf[4] = 99; // bump version field
-        assert!(matches!(
-            load(buf.as_slice()),
-            Err(CheckpointError::UnsupportedVersion { found: 99 })
-        ));
+        // 1 is the unframed format of early releases; it is refused
+        // like any other version that is not 2.
+        for version in [1u8, 99] {
+            let mut buf = Vec::new();
+            save(&full_net(), &mut buf).unwrap();
+            buf[4] = version; // overwrite the version field
+            assert!(matches!(
+                load(buf.as_slice()),
+                Err(CheckpointError::UnsupportedVersion { found }) if found == u32::from(version)
+            ));
+        }
     }
 
     #[test]
@@ -654,30 +648,13 @@ mod tests {
 
     #[test]
     fn unknown_tag_detected() {
-        let mut buf = Vec::new();
-        save_v1(&full_net(), &mut buf).unwrap();
-        // In the unframed v1 stream the first layer tag sits right after
-        // magic+version+count.
-        buf[16] = 200;
+        let mut payload = body_bytes(&full_net()).unwrap();
+        // The first layer tag sits right after the u64 layer count.
+        payload[8] = 200;
         assert!(matches!(
-            load(buf.as_slice()),
+            load(framed(&payload).as_slice()),
             Err(CheckpointError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn v1_streams_remain_loadable() {
-        let net = full_net();
-        let mut v1 = Vec::new();
-        save_v1(&net, &mut v1).unwrap();
-        assert_eq!(u32::from_le_bytes([v1[4], v1[5], v1[6], v1[7]]), 1);
-        let restored = load(v1.as_slice()).unwrap();
-        assert_eq!(restored.num_params(), net.num_params());
-        // Same weights as a v2 round trip.
-        assert_eq!(
-            to_bytes(&restored).unwrap(),
-            to_bytes(&load(to_bytes(&net).unwrap().as_slice()).unwrap()).unwrap()
-        );
     }
 
     #[test]
@@ -699,18 +676,10 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_detected() {
-        let net = full_net();
-        let mut payload = Vec::new();
-        save_body(&net, &mut payload).unwrap();
+        let mut payload = body_bytes(&full_net()).unwrap();
         payload.push(0); // one stray byte inside the checksummed frame
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
         assert!(matches!(
-            load(buf.as_slice()),
+            load(framed(&payload).as_slice()),
             Err(CheckpointError::Corrupt { .. })
         ));
     }
@@ -736,12 +705,8 @@ mod tests {
         for _ in 0..8 {
             payload.extend_from_slice(&(1u64 << 28).to_le_bytes());
         }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-        buf.extend_from_slice(&payload);
         assert!(matches!(
-            load(buf.as_slice()),
+            load(framed(&payload).as_slice()),
             Err(CheckpointError::Corrupt { .. })
         ));
     }

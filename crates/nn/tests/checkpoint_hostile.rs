@@ -20,6 +20,17 @@ fn sample_net() -> Network {
     net
 }
 
+/// `payload` behind a v2 frame header with its true length and CRC.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(payload.len() + 20);
+    buf.extend_from_slice(b"CAPN");
+    buf.extend_from_slice(&2u32.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&checkpoint::crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf
+}
+
 fn valid_bytes() -> Vec<u8> {
     checkpoint::to_bytes(&sample_net()).unwrap()
 }
@@ -34,19 +45,18 @@ proptest! {
         let _ = checkpoint::load(bytes.as_slice());
     }
 
-    /// Byte soup behind a valid magic+version header exercises the body
-    /// parser (tags, tensor shapes, length fields) rather than dying at
-    /// the magic check.
+    /// Byte soup inside a valid v2 frame (correct length and CRC)
+    /// exercises the body parser (tags, tensor shapes, length fields)
+    /// rather than dying at the magic, version or CRC check. A small
+    /// layer count leads the soup so the parser reaches the layer tags.
     #[test]
     fn framed_garbage_never_panics(
-        version in 1u32..3,
+        layers in 0u64..4,
         bytes in proptest::collection::vec(0u8..=255, 0..256),
     ) {
-        let mut buf = Vec::with_capacity(bytes.len() + 8);
-        buf.extend_from_slice(b"CAPN");
-        buf.extend_from_slice(&version.to_le_bytes());
-        buf.extend_from_slice(&bytes);
-        let _ = checkpoint::load(buf.as_slice());
+        let mut payload = layers.to_le_bytes().to_vec();
+        payload.extend_from_slice(&bytes);
+        let _ = checkpoint::load(framed(&payload).as_slice());
     }
 
     /// Every strict truncation of a valid checkpoint is rejected.

@@ -1,7 +1,7 @@
 //! Cache-blocked GEMM shared by the three matmul variants.
 //!
 //! The entry point asks [`crate::select`] for a plan and runs one of
-//! three paths:
+//! two paths:
 //!
 //! - **direct** — small shapes (all dims ≤ 256) run an unpacked serial
 //!   kernel; operands already fit in cache, so packing was pure
@@ -13,9 +13,6 @@
 //!   AVX2+FMA, a portable scalar 4×8 otherwise). The parallel path
 //!   double-buffers B panels: the next panel is packed by a pool task
 //!   while the current one is being computed.
-//! - **tune** — very large shapes on the AVX2 path measure a few
-//!   blocking candidates once and persist the winner
-//!   ([`crate::autotune`]).
 //!
 //! # Parallelism and determinism
 //!
@@ -96,12 +93,11 @@ pub(crate) fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, o
         return; // out is already zero
     }
     let mode = simd::simd_mode();
-    let plan = select::plan(m, n, k, b.col_stride == 1, mode);
-    select::observe(&plan);
-    match plan.decision {
+    let decision = select::plan(m, n, k, b.col_stride == 1, mode);
+    select::observe(&decision);
+    match decision {
         Decision::Direct => direct(n, k, a, b, out, mode),
         Decision::Packed(cfg) => packed(m, n, k, a, b, out, cfg),
-        Decision::Tune { candidates, key } => tune(m, n, k, a, b, out, &candidates, &key),
     }
 }
 
@@ -324,53 +320,6 @@ fn compute_row_block(
     });
 }
 
-/// Measures every candidate once, writes the first candidate's result
-/// to `out` and the rest to scratch, and records the fastest in the
-/// autotune cache. All candidates are AVX2+FMA configurations, so
-/// every run produces identical bits and tuning is invisible in the
-/// output.
-#[allow(clippy::too_many_arguments)] // GEMM operand set + tuning key
-fn tune(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    out: &mut [f32],
-    candidates: &[Config],
-    key: &str,
-) {
-    let mut best: Option<(Config, f64)> = None;
-    let mut scratch: Vec<f32> = Vec::new();
-    for (i, cfg) in candidates.iter().enumerate() {
-        let start = cap_obs::clock::now();
-        if i == 0 {
-            packed(m, n, k, a, b, out, *cfg);
-        } else {
-            scratch.clear();
-            scratch.resize(m * n, 0.0);
-            packed(m, n, k, a, b, &mut scratch, *cfg);
-        }
-        let ns = cap_obs::clock::elapsed_secs(start) * 1e9;
-        if best.map(|(_, b_ns)| ns < b_ns).unwrap_or(true) {
-            best = Some((*cfg, ns));
-        }
-    }
-    let Some((winner, ns)) = best else {
-        return; // empty candidate list: nothing ran, out untouched
-    };
-    crate::autotune::record(key, winner, ns);
-    if cap_obs::enabled() {
-        cap_obs::emit(
-            cap_obs::Event::new("gemm.autotune")
-                .str("key", key)
-                .str("winner", winner.describe())
-                .f64("ns_per_iter", ns)
-                .u64("candidates", candidates.len() as u64),
-        );
-    }
-}
-
 /// Packs `A[row0 .. row0+mc, pc .. pc+kc]` into `mr`-row strips laid
 /// out `p`-major (`strip · kc · mr + p · mr + r`), zero-padding the
 /// ragged final strip so the microkernel never branches on row
@@ -587,8 +536,8 @@ mod tests {
     fn avx2_tiles_and_blockings_are_bit_identical() {
         // The determinism contract: blocking parameters and the choice
         // between the two FMA tiles never change output bits — only
-        // the ISA pin does. This is what lets the autotuner measure
-        // candidates invisibly.
+        // the ISA pin does. This is why the selector may pick any tile
+        // or blocking by shape alone without touching results.
         if !crate::simd::avx2_available() {
             return;
         }

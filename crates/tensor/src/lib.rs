@@ -27,7 +27,6 @@
 //! # }
 //! ```
 
-mod autotune;
 mod conv;
 mod error;
 mod gemm;

@@ -1,28 +1,25 @@
 //! Shape-aware kernel selection for the blocked GEMM.
 //!
 //! For every problem shape the selector picks a *path* (direct or
-//! packed), a microkernel, and cache-blocking parameters, from three
-//! sources in priority order:
+//! packed), a microkernel, and cache-blocking parameters, one of two
+//! ways:
 //!
-//! 1. **Small-shape heuristic** — problems whose operands fit in cache
+//! 1. **Direct** — problems whose dims are all ≤ 256 fit in cache and
 //!    skip packing entirely (the packing passes were a measured
 //!    regression at 192³, see `BENCH_kernels.json`).
-//! 2. **Autotune cache** — large shapes consult the persistent
-//!    per-(shape-class, arch, ISA) cache from [`crate::autotune`].
-//! 3. **Static heuristic** — everything else: 8×8 tiles for wide
+//! 2. **Static heuristic** — everything else: 8×8 tiles for wide
 //!    problems, 16×4 for tall-skinny ones, reference blocking for the
 //!    scalar path.
 //!
-//! The decision depends only on the shape, the operand layout and the
-//! pinned [`SimdMode`] — never on the thread count or the clock — so a
-//! run's kernel choices are reproducible. Changing blocking or
-//! switching between AVX2 tiles never changes output bits (see
-//! `crate::simd` module docs); only the ISA pin does.
+//! The decision is a pure function of the shape, the operand layout and
+//! the pinned [`SimdMode`] — never of the thread count, the clock or
+//! any file — so a run's kernel choices are reproducible. Changing
+//! blocking or switching between AVX2 tiles never changes output bits
+//! (see `crate::simd` module docs); only the ISA pin does.
 
-use crate::autotune;
 use crate::simd::SimdMode;
 
-/// `k`-dimension cache block. Fixed forever (never selected or tuned)
+/// `k`-dimension cache block. Fixed forever (never selected)
 /// because it determines the floating-point summation grouping: packed
 /// kernels round the accumulator into the output at each `KC` boundary.
 pub(crate) const KC: usize = 256;
@@ -31,12 +28,6 @@ pub(crate) const KC: usize = 256;
 /// at `256³` the working set (~768 KiB) still lives in L2/L3 and the
 /// packing passes cost more than they save.
 const DIRECT_MAX_DIM: usize = 256;
-
-/// Problems below `2·m·n·k = 2²⁸` flops are not worth measuring:
-/// heuristic selection is within noise of tuned at these sizes, and
-/// keeping the bar high means ordinary test workloads never trigger
-/// tuning (or cache writes).
-const TUNE_MIN_FLOPS: usize = 1 << 28;
 
 /// A register-tile microkernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,32 +60,12 @@ impl Micro {
         }
     }
 
-    /// Stable name used in telemetry, the autotune cache, and
-    /// `BENCH_kernels.json`.
+    /// Stable name used in telemetry and `BENCH_kernels.json`.
     pub(crate) fn name(self) -> &'static str {
         match self {
             Micro::Scalar4x8 => "scalar_4x8",
             Micro::Avx2_8x8 => "avx2_8x8",
             Micro::Avx2_16x4 => "avx2_16x4",
-        }
-    }
-
-    /// Parses a stable name back (autotune cache loading).
-    pub(crate) fn parse(name: &str) -> Option<Micro> {
-        match name {
-            "scalar_4x8" => Some(Micro::Scalar4x8),
-            "avx2_8x8" => Some(Micro::Avx2_8x8),
-            "avx2_16x4" => Some(Micro::Avx2_16x4),
-            _ => None,
-        }
-    }
-
-    /// Whether this kernel is runnable under the given mode (an AVX2
-    /// cache entry must not leak onto a scalar-pinned run).
-    pub(crate) fn runs_under(self, mode: SimdMode) -> bool {
-        match self {
-            Micro::Scalar4x8 => true,
-            Micro::Avx2_8x8 | Micro::Avx2_16x4 => mode == SimdMode::Avx2,
         }
     }
 }
@@ -128,40 +99,6 @@ pub(crate) enum Decision {
     Direct,
     /// Packed blocked path with a fixed configuration.
     Packed(Config),
-    /// Packed path, but measure the candidates first and record the
-    /// winner in the autotune cache. All candidates produce identical
-    /// bits, so the measurement is invisible in the output.
-    Tune {
-        candidates: Vec<Config>,
-        key: String,
-    },
-}
-
-/// A full selector verdict.
-pub(crate) struct Plan {
-    pub(crate) decision: Decision,
-    /// Where the packed config came from: `direct`, `cached`,
-    /// `heuristic`, or `tuning`.
-    pub(crate) source: &'static str,
-}
-
-/// Power-of-two shape bucket: shapes within the same octave share
-/// blocking behaviour, so they share one autotune entry.
-fn bucket(d: usize) -> usize {
-    d.max(16).next_power_of_two()
-}
-
-/// The autotune key for a problem under a mode:
-/// `m<bucket>-n<bucket>-k<bucket>|<arch>|<mode>`.
-pub(crate) fn cache_key(m: usize, n: usize, k: usize, mode: SimdMode) -> String {
-    format!(
-        "m{}-n{}-k{}|{}|{}",
-        bucket(m),
-        bucket(n),
-        bucket(k),
-        std::env::consts::ARCH,
-        mode.name()
-    )
 }
 
 fn heuristic(m: usize, n: usize, mode: SimdMode) -> Config {
@@ -189,38 +126,10 @@ fn heuristic(m: usize, n: usize, mode: SimdMode) -> Config {
     }
 }
 
-/// Candidate set measured when a large shape misses the autotune
-/// cache. All are AVX2+FMA kernels, so every candidate produces the
-/// same bits and measurement order cannot leak into results.
-fn tune_candidates() -> Vec<Config> {
-    vec![
-        Config {
-            micro: Micro::Avx2_8x8,
-            mc: 128,
-            nc: 512,
-        },
-        Config {
-            micro: Micro::Avx2_8x8,
-            mc: 64,
-            nc: 512,
-        },
-        Config {
-            micro: Micro::Avx2_8x8,
-            mc: 128,
-            nc: 256,
-        },
-        Config {
-            micro: Micro::Avx2_16x4,
-            mc: 128,
-            nc: 512,
-        },
-    ]
-}
-
 /// Selects the execution plan for `out[m×n] += A[m×k] · B[k×n]`.
 /// `b_contiguous` is whether B's rows are unit-stride (the direct SIMD
 /// path streams B rows without packing).
-pub(crate) fn plan(m: usize, n: usize, k: usize, b_contiguous: bool, mode: SimdMode) -> Plan {
+pub(crate) fn plan(m: usize, n: usize, k: usize, b_contiguous: bool, mode: SimdMode) -> Decision {
     // Small shapes: skip packing. The AVX2 direct kernel needs
     // unit-stride B rows; the scalar direct loop handles any layout.
     if m <= DIRECT_MAX_DIM && n <= DIRECT_MAX_DIM && k <= DIRECT_MAX_DIM {
@@ -229,53 +138,21 @@ pub(crate) fn plan(m: usize, n: usize, k: usize, b_contiguous: bool, mode: SimdM
             SimdMode::Avx2 => b_contiguous,
         };
         if direct_ok {
-            return Plan {
-                decision: Decision::Direct,
-                source: "direct",
-            };
+            return Decision::Direct;
         }
     }
-
-    let key = cache_key(m, n, k, mode);
-    if let Some(choice) = autotune::lookup(&key) {
-        if choice.config.micro.runs_under(mode) {
-            return Plan {
-                decision: Decision::Packed(choice.config),
-                source: "cached",
-            };
-        }
-    }
-
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if mode == SimdMode::Avx2 && flops >= TUNE_MIN_FLOPS && autotune::persistence_enabled() {
-        return Plan {
-            decision: Decision::Tune {
-                candidates: tune_candidates(),
-                key,
-            },
-            source: "tuning",
-        };
-    }
-
-    Plan {
-        decision: Decision::Packed(heuristic(m, n, mode)),
-        source: "heuristic",
-    }
+    Decision::Packed(heuristic(m, n, mode))
 }
 
 /// Publishes the selector decision to the metrics registry (counters
 /// only; the per-kernel execution counters live in `gemm`).
-pub(crate) fn observe(plan: &Plan) {
+pub(crate) fn observe(decision: &Decision) {
     if !cap_obs::enabled() {
         return;
     }
-    let which = match plan.decision {
+    let which = match decision {
         Decision::Direct => "tensor.gemm.select.direct_total",
-        Decision::Packed(_) => match plan.source {
-            "cached" => "tensor.gemm.select.cached_total",
-            _ => "tensor.gemm.select.heuristic_total",
-        },
-        Decision::Tune { .. } => "tensor.gemm.select.tune_total",
+        Decision::Packed(_) => "tensor.gemm.select.heuristic_total",
     };
     cap_obs::counter_add(which, 1);
 }
@@ -285,16 +162,13 @@ pub(crate) fn observe(plan: &Plan) {
 /// it. Exposed for benches and telemetry (`BENCH_kernels.json`'s
 /// `selector` fields).
 pub fn gemm_plan_summary(m: usize, n: usize, k: usize) -> String {
-    let mode = crate::simd::simd_mode();
-    let p = plan(m, n, k, true, mode);
-    match &p.decision {
+    summary(m, n, k, crate::simd::simd_mode())
+}
+
+fn summary(m: usize, n: usize, k: usize, mode: SimdMode) -> String {
+    match plan(m, n, k, true, mode) {
         Decision::Direct => format!("direct({})", mode.name()),
-        Decision::Packed(cfg) => format!("packed({}, {})", cfg.describe(), p.source),
-        Decision::Tune { candidates, .. } => format!(
-            "packed(tuning {} candidates, will cache as {})",
-            candidates.len(),
-            cache_key(m, n, k, mode)
-        ),
+        Decision::Packed(cfg) => format!("packed({}, heuristic)", cfg.describe()),
     }
 }
 
@@ -303,22 +177,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn micro_names_roundtrip() {
-        for m in [Micro::Scalar4x8, Micro::Avx2_8x8, Micro::Avx2_16x4] {
-            assert_eq!(Micro::parse(m.name()), Some(m));
+    fn micro_names_are_distinct_and_tiles_fit_the_accumulator() {
+        let all = [Micro::Scalar4x8, Micro::Avx2_8x8, Micro::Avx2_16x4];
+        for (i, m) in all.iter().enumerate() {
             assert!(m.mr() * m.nr() <= crate::simd::ACC_LEN);
+            assert!(all[i + 1..].iter().all(|o| o.name() != m.name()));
         }
-        assert_eq!(Micro::parse("avx512_32x2"), None);
     }
 
     #[test]
     fn small_shapes_go_direct_large_go_packed() {
         for mode in [SimdMode::Scalar, SimdMode::Avx2] {
             let p = plan(192, 192, 192, true, mode);
-            assert!(matches!(p.decision, Decision::Direct), "{}", mode.name());
+            assert!(matches!(p, Decision::Direct), "{}", mode.name());
             let p = plan(1024, 1024, 1024, true, mode);
             assert!(
-                !matches!(p.decision, Decision::Direct),
+                !matches!(p, Decision::Direct),
                 "1024 must pack under {}",
                 mode.name()
             );
@@ -328,10 +202,10 @@ mod tests {
     #[test]
     fn strided_b_under_avx2_stays_packed() {
         let p = plan(64, 64, 64, false, SimdMode::Avx2);
-        assert!(matches!(p.decision, Decision::Packed(_)));
+        assert!(matches!(p, Decision::Packed(_)));
         // Scalar direct handles any layout.
         let p = plan(64, 64, 64, false, SimdMode::Scalar);
-        assert!(matches!(p.decision, Decision::Direct));
+        assert!(matches!(p, Decision::Direct));
     }
 
     #[test]
@@ -342,22 +216,76 @@ mod tests {
         assert_eq!(cfg.micro, Micro::Avx2_8x8);
     }
 
-    #[test]
-    fn cache_key_buckets_by_octave() {
-        let a = cache_key(1000, 1000, 1000, SimdMode::Avx2);
-        let b = cache_key(1024, 600, 513, SimdMode::Avx2);
-        assert_eq!(a, b, "same octave, same key");
-        assert_ne!(a, cache_key(2048, 1000, 1000, SimdMode::Avx2));
-        assert_ne!(a, cache_key(1000, 1000, 1000, SimdMode::Scalar));
+    fn dir_listing(dir: &std::path::Path) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .map(|it| it.filter_map(|e| e.ok().map(|e| e.file_name())).collect())
+            .unwrap_or_default();
+        names.sort();
+        names
     }
 
     #[test]
-    fn scalar_mode_never_tunes() {
-        let p = plan(2048, 2048, 2048, true, SimdMode::Scalar);
-        assert!(matches!(p.decision, Decision::Packed(_)));
-        match p.decision {
-            Decision::Packed(cfg) => assert_eq!(cfg.micro, Micro::Scalar4x8),
-            _ => unreachable!(),
+    fn large_avx2_problems_take_the_heuristic_and_write_no_file() {
+        let want = Config {
+            micro: Micro::Avx2_8x8,
+            mc: 128,
+            nc: 512,
+        };
+        assert!(matches!(
+            plan(2048, 2048, 2048, true, SimdMode::Avx2),
+            Decision::Packed(cfg) if cfg == want
+        ));
+        assert!(matches!(
+            plan(2048, 2048, 2048, true, SimdMode::Scalar),
+            Decision::Packed(cfg) if cfg.micro == Micro::Scalar4x8
+        ));
+        // Running a 2²⁸-flop problem leaves the working directory as it
+        // was: kernel selection reads and writes no state.
+        let (m, n, k) = (512, 512, 512);
+        let before = (dir_listing(".".as_ref()), dir_listing("results".as_ref()));
+        let a = vec![0.5f32; m * k];
+        let b = vec![0.25f32; k * n];
+        let mut out = vec![0.0f32; m * n];
+        crate::gemm::gemm(
+            m,
+            n,
+            k,
+            crate::gemm::MatRef::row_major(&a, k),
+            crate::gemm::MatRef::row_major(&b, n),
+            &mut out,
+        );
+        assert!(out.iter().all(|&v| v == 0.125 * k as f32));
+        let after = (dir_listing(".".as_ref()), dir_listing("results".as_ref()));
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn model_shapes_keep_their_kernels() {
+        // (m, k, n) of the per-sample forward GEMMs of VGG16 and
+        // ResNet56 at full scale, then whole-batch lowerings. The
+        // expected strings are the verdicts the selector gave while it
+        // still had a tuning path: no model shape changed kernel.
+        const WIDE: &str = "packed(avx2_8x8 mc=128 nc=512 kc=256, heuristic)";
+        const SKINNY: &str = "packed(avx2_16x4 mc=128 nc=512 kc=256, heuristic)";
+        const SCALAR: &str = "packed(scalar_4x8 mc=64 nc=512 kc=256, heuristic)";
+        const DIRECT: (&str, &str) = ("direct(avx2)", "direct(scalar)");
+        let table = [
+            ((16, 27, 256), DIRECT),
+            ((16, 144, 256), DIRECT),
+            ((32, 288, 64), (WIDE, SCALAR)),
+            ((64, 576, 16), (SKINNY, SCALAR)),
+            ((128, 1152, 4), (SKINNY, SCALAR)),
+            ((4, 36, 256), DIRECT),
+            ((8, 72, 64), DIRECT),
+            ((16, 144, 16), DIRECT),
+            ((16, 144, 12288), (WIDE, SCALAR)),
+            ((64, 576, 768), (WIDE, SCALAR)),
+            ((128, 1152, 192), (WIDE, SCALAR)),
+            ((8, 27, 6400), (WIDE, SCALAR)),
+        ];
+        for ((m, k, n), (avx2, scalar)) in table {
+            assert_eq!(summary(m, n, k, SimdMode::Avx2), avx2, "{m}x{k}x{n}");
+            assert_eq!(summary(m, n, k, SimdMode::Scalar), scalar, "{m}x{k}x{n}");
         }
     }
 }

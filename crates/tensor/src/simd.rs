@@ -49,8 +49,8 @@ pub enum SimdMode {
 }
 
 impl SimdMode {
-    /// Stable lowercase name (`scalar` / `avx2`) used in telemetry,
-    /// autotune-cache keys, and `BENCH_kernels.json`.
+    /// Stable lowercase name (`scalar` / `avx2`) used in telemetry and
+    /// `BENCH_kernels.json`.
     pub fn name(self) -> &'static str {
         match self {
             SimdMode::Scalar => "scalar",
